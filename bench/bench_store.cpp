@@ -103,8 +103,10 @@ run_pass(const std::vector<CaseStudyFunction>& functions, int n)
 
         const auto plan = make_plan(n, function.lo, function.hi);
         start = std::chrono::steady_clock::now();
-        const auto warm = session.warm_tuner(
-            plan, runtime::Metric::MeanRelativeError, {11, 22});
+        constexpr auto metric = runtime::Metric::MeanRelativeError;
+        const auto warm = runtime::warm_tuner(
+            session.variants(plan), metric, options.toq, {11, 22},
+            session.calibration_key(metric));
         out.tuner_seconds += seconds_since(start);
         out.warm_tuners += warm.warm ? 1 : 0;
     }

@@ -73,23 +73,11 @@ ArgPack::find_shared(const std::string& name) const
 
 namespace {
 
-/// Innermost ambient cancel tokens for this thread; see CancelScope.
-thread_local const vm::CancelToken* tls_cancel_token = nullptr;
+/// Innermost ambient cancel tokens for this thread; see BatchCancelScope.
 thread_local const std::vector<const vm::CancelToken*>* tls_batch_tokens =
     nullptr;
 
 }  // namespace
-
-CancelScope::CancelScope(const vm::CancelToken* token)
-    : previous_(tls_cancel_token)
-{
-    tls_cancel_token = token;
-}
-
-CancelScope::~CancelScope()
-{
-    tls_cancel_token = previous_;
-}
 
 BatchCancelScope::BatchCancelScope(
     const std::vector<const vm::CancelToken*>* tokens)
@@ -101,12 +89,6 @@ BatchCancelScope::BatchCancelScope(
 BatchCancelScope::~BatchCancelScope()
 {
     tls_batch_tokens = previous_;
-}
-
-const vm::CancelToken*
-current_cancel_token()
-{
-    return tls_cancel_token;
 }
 
 const std::vector<const vm::CancelToken*>*
@@ -200,119 +182,13 @@ geometry_for(const LaunchConfig& config, const std::array<int, 3>& num_groups,
     return geometry;
 }
 
-}  // namespace
-
-LaunchResult
-launch(const vm::Program& program, const ArgPack& args,
-       const LaunchConfig& config, LaunchObserver* observer)
-{
-    PARAPROX_CHECK(config.mode == vm::ExecMode::Instrumented ||
-                       observer == nullptr,
-                   "fast launches cannot attach a LaunchObserver");
-
-    // Resolve buffer and scalar arguments against the program signature.
-    const ResolvedArgs resolved = resolve_args(program, args);
-    const std::vector<vm::BufferView>& buffer_views = resolved.buffer_views;
-    const std::vector<std::int64_t>& shared_sizes = resolved.shared_sizes;
-    const std::vector<vm::Value>& scalar_args = resolved.scalar_args;
-
-    const std::array<int, 3> num_groups = resolve_num_groups(config);
-    const std::int64_t total_groups =
-        static_cast<std::int64_t>(num_groups[0]) * num_groups[1] *
-        num_groups[2];
-
-    // Explicit token beats the thread's ambient CancelScope.  Resolved
-    // here, on the launching thread, so the closure-shaped serving paths
-    // (which cannot thread a token through their signatures) still arm
-    // every launch they make.
-    const vm::CancelToken* cancel =
-        config.cancel ? config.cancel : current_cancel_token();
-
-    LaunchResult result;
-    result.groups_total = total_groups;
-    std::mutex merge_mutex;
-    // Raised by the first trapping (or cancelled) group and checked before
-    // each group starts, so a trap early in a large NDRange doesn't burn
-    // cycles executing the thousands of groups still queued behind it (the
-    // whole launch is discarded anyway once trapped).
-    std::atomic<bool> abort{false};
-    std::atomic<bool> trapped{false};
-    std::atomic<bool> cancelled{false};
-    std::atomic<std::int64_t> groups_completed{0};
-    std::string trap_message;
-
-    const auto start = std::chrono::steady_clock::now();
-
-    parallel_for(static_cast<std::size_t>(total_groups),
-                 [&](std::size_t group_linear) {
-        if (abort.load(std::memory_order_relaxed))
-            return;
-        // The abort flip happens under merge_mutex (like the trap path)
-        // so a group finishing concurrently can never merge stats after
-        // the launch is already cancelled.
-        const auto mark_cancelled = [&] {
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            cancelled.store(true, std::memory_order_relaxed);
-            abort.store(true, std::memory_order_relaxed);
-        };
-        if (cancel && cancel->cancelled()) {
-            mark_cancelled();
-            return;
-        }
-
-        const vm::GroupGeometry geometry = geometry_for(
-            config, num_groups, static_cast<std::int64_t>(group_linear));
-
-        std::unique_ptr<vm::MemoryListener> listener;
-        if (observer)
-            listener = observer->make_group_listener(group_linear);
-
-        vm::ExecStats group_stats;
-        vm::GroupRunner runner(program, buffer_views, scalar_args,
-                               shared_sizes, geometry, &group_stats,
-                               listener.get(), config.mode, cancel);
-        try {
-            runner.run();
-        } catch (const vm::CancelledError&) {
-            mark_cancelled();
-            return;
-        } catch (const vm::TrapError& trap) {
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            trapped.store(true, std::memory_order_relaxed);
-            if (!abort.exchange(true, std::memory_order_relaxed))
-                trap_message = trap.what();
-            return;
-        }
-        groups_completed.fetch_add(1, std::memory_order_relaxed);
-
-        // A group finishing after the trap landed contributes nothing: the
-        // launch result is discarded, so merging its stats (or feeding the
-        // observer) would only skew the abandoned measurement.
-        std::lock_guard<std::mutex> lock(merge_mutex);
-        if (abort.load(std::memory_order_relaxed))
-            return;
-        result.stats.merge(group_stats);
-        if (observer && listener)
-            observer->on_group_complete(*listener);
-    });
-
-    const auto end = std::chrono::steady_clock::now();
-    result.wall_seconds =
-        std::chrono::duration<double>(end - start).count();
-    result.trapped = trapped.load(std::memory_order_relaxed);
-    result.trap_message = trap_message;
-    result.cancelled = cancelled.load(std::memory_order_relaxed);
-    if (result.cancelled && cancel)
-        result.cancel_reason = cancel->reason();
-    result.groups_completed =
-        groups_completed.load(std::memory_order_relaxed);
-    return result;
-}
-
+/// The one group loop behind launch() and launch_batch(): every group of
+/// every member is one task on the host pool.  Only a one-member launch
+/// may carry an @p observer (batched launches serve, they do not price).
 std::vector<LaunchResult>
-launch_batch(const vm::Program& program,
-             const std::vector<const ArgPack*>& batch,
-             const LaunchConfig& config)
+launch_members(const vm::Program& program,
+               const std::vector<const ArgPack*>& batch,
+               const LaunchConfig& config, LaunchObserver* observer)
 {
     const std::size_t members = batch.size();
     if (members == 0)
@@ -333,8 +209,9 @@ launch_batch(const vm::Program& program,
         num_groups[2];
 
     // Per-member cancel tokens from the thread's ambient BatchCancelScope
-    // (member-order aligned).  A size mismatch disarms the scope rather
-    // than guessing which token belongs to whom.
+    // (member-order aligned), resolved here on the launching thread.  A
+    // size mismatch disarms the scope rather than guessing which token
+    // belongs to whom.
     const std::vector<const vm::CancelToken*>* scope_tokens =
         current_batch_cancel_tokens();
     if (scope_tokens && scope_tokens->size() != members)
@@ -347,7 +224,10 @@ launch_batch(const vm::Program& program,
     // One abort flag and stat sink per member: a trap (or a scatter-
     // cancel — only expired members stop) is a member-local event, not a
     // batch-wide one — the other members' requests must still be
-    // answered.
+    // answered.  The abort flag is raised by the member's first trapping
+    // (or cancelled) group and checked before each of its groups starts,
+    // so a trap early in a large NDRange doesn't burn cycles executing
+    // the thousands of groups still queued behind it.
     struct MemberState {
         std::atomic<bool> abort{false};
         std::atomic<bool> trapped{false};
@@ -369,6 +249,9 @@ launch_batch(const vm::Program& program,
         MemberState& state = states[member];
         if (state.abort.load(std::memory_order_relaxed))
             return;
+        // The abort flip happens under merge_mutex (like the trap path)
+        // so a group finishing concurrently can never merge stats after
+        // its member is already cancelled.
         const vm::CancelToken* cancel = member_token(member);
         const auto mark_cancelled = [&] {
             std::lock_guard<std::mutex> lock(merge_mutex);
@@ -383,11 +266,16 @@ launch_batch(const vm::Program& program,
         const vm::GroupGeometry geometry =
             geometry_for(config, num_groups, group_linear);
 
+        std::unique_ptr<vm::MemoryListener> listener;
+        if (observer)
+            listener = observer->make_group_listener(group_linear);
+
         vm::ExecStats group_stats;
         vm::GroupRunner runner(program, resolved[member].buffer_views,
                                resolved[member].scalar_args,
                                resolved[member].shared_sizes, geometry,
-                               &group_stats, nullptr, config.mode, cancel);
+                               &group_stats, listener.get(), config.mode,
+                               cancel);
         try {
             runner.run();
         } catch (const vm::CancelledError&) {
@@ -402,10 +290,16 @@ launch_batch(const vm::Program& program,
         }
         state.groups_completed.fetch_add(1, std::memory_order_relaxed);
 
+        // A group finishing after its member trapped contributes nothing:
+        // the member's result is discarded, so merging its stats (or
+        // feeding the observer) would only skew the abandoned
+        // measurement.
         std::lock_guard<std::mutex> lock(merge_mutex);
         if (state.abort.load(std::memory_order_relaxed))
             return;
         state.stats.merge(group_stats);
+        if (listener)
+            observer->on_group_complete(*listener);
     });
 
     const double wall =
@@ -415,7 +309,7 @@ launch_batch(const vm::Program& program,
 
     std::vector<LaunchResult> results(members);
     for (std::size_t i = 0; i < members; ++i) {
-        results[i].stats = states[i].stats;
+        results[i].stats = std::move(states[i].stats);
         results[i].trapped =
             states[i].trapped.load(std::memory_order_relaxed);
         results[i].trap_message = std::move(states[i].trap_message);
@@ -431,6 +325,27 @@ launch_batch(const vm::Program& program,
         results[i].groups_total = member_groups;
     }
     return results;
+}
+
+}  // namespace
+
+LaunchResult
+launch(const vm::Program& program, const ArgPack& args,
+       const LaunchConfig& config, LaunchObserver* observer)
+{
+    PARAPROX_CHECK(config.mode == vm::ExecMode::Instrumented ||
+                       observer == nullptr,
+                   "fast launches cannot attach a LaunchObserver");
+    return std::move(
+        launch_members(program, {&args}, config, observer).front());
+}
+
+std::vector<LaunchResult>
+launch_batch(const vm::Program& program,
+             const std::vector<const ArgPack*>& batch,
+             const LaunchConfig& config)
+{
+    return launch_members(program, batch, config, nullptr);
 }
 
 }  // namespace paraprox::exec

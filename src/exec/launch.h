@@ -28,12 +28,6 @@ struct LaunchConfig {
     /// with a LaunchObserver (no listener callbacks) and reports only
     /// ExecStats::total_instructions.
     vm::ExecMode mode = vm::ExecMode::Instrumented;
-    /// Optional cooperative cancellation token.  When null, launch()
-    /// falls back to the thread's ambient CancelScope token (if any);
-    /// explicit always wins.  A fired token stops the launch within one
-    /// group round: queued groups are skipped, running groups bail at
-    /// their next control transfer, and no stats are merged.
-    const vm::CancelToken* cancel = nullptr;
 
     static LaunchConfig
     linear(int global, int local)
@@ -107,28 +101,17 @@ struct LaunchResult {
     std::int64_t groups_total = 0;
 };
 
-/// RAII ambient cancel token: every exec::launch this thread performs
-/// while the scope is alive observes @p token (unless the LaunchConfig
-/// carries its own).  This is how the serving layer arms per-request
-/// cancellation without threading a token through every Variant closure;
-/// nested scopes shadow, and the token is resolved at launch() entry on
-/// the launching thread (pool workers inherit it by capture).
-class CancelScope {
-  public:
-    explicit CancelScope(const vm::CancelToken* token);
-    ~CancelScope();
-
-    CancelScope(const CancelScope&) = delete;
-    CancelScope& operator=(const CancelScope&) = delete;
-
-  private:
-    const vm::CancelToken* previous_;
-};
-
-/// Batch flavor: one token per batch member, index-aligned with the
-/// `batch` vector a launch_batch inside the scope receives.  A size
-/// mismatch disarms the scope for that launch (never misattributes a
-/// token).  Entries may be null (uncancellable member).
+/// RAII ambient cancel tokens, one per batch member, index-aligned with
+/// the `batch` vector a launch_batch inside the scope receives (launch()
+/// is a one-member batch).  This is the only way a launch gets a cancel
+/// token: the serving layer arms per-request cancellation without
+/// threading tokens through every Variant closure.  A size mismatch
+/// disarms the scope for that launch (never misattributes a token);
+/// entries may be null (uncancellable member); nested scopes shadow.
+/// Tokens are resolved at launch entry on the launching thread (pool
+/// workers inherit them by capture).  A fired token stops its member
+/// within one group round: queued groups are skipped, running groups
+/// bail at their next control transfer, and no further stats merge.
 class BatchCancelScope {
   public:
     explicit BatchCancelScope(
@@ -143,11 +126,12 @@ class BatchCancelScope {
 };
 
 /// The innermost ambient tokens on this thread (null when no scope is
-/// active).  launch()/launch_batch() consult these; exposed for tests.
-const vm::CancelToken* current_cancel_token();
+/// active).  A caller that runs a batch one launch per member narrows the
+/// scope to each member's token with it (see Tuner::serve_batch).
 const std::vector<const vm::CancelToken*>* current_batch_cancel_tokens();
 
-/// Execute @p program over @p config with @p args.
+/// Execute @p program over @p config with @p args: a one-member
+/// launch_batch that may attach a pricing @p observer.
 ///
 /// Safety: vm::TrapError raised by any work-group aborts the launch and is
 /// reported via LaunchResult::trapped (output buffers may be partially

@@ -475,7 +475,7 @@ PipelineSession::calibration_key(Metric metric, double toq_percent) const
     return key;
 }
 
-PipelineSession::WarmTuner
+WarmTuner
 PipelineSession::warm_tuner(Metric metric,
                             const std::vector<std::uint64_t>& training_seeds,
                             double toq_percent, int check_interval,

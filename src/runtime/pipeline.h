@@ -216,10 +216,6 @@ class PipelineSession {
     /// zero calibration sweeps — and a cold search + calibration is
     /// persisted for the next process.  Either way configs() is aligned
     /// with the returned tuner's variants.
-    struct WarmTuner {
-        std::unique_ptr<Tuner> tuner;
-        bool warm = false;  ///< True when restored from the store.
-    };
     WarmTuner warm_tuner(Metric metric,
                          const std::vector<std::uint64_t>& training_seeds,
                          double toq_percent, int check_interval = 50,

@@ -1,8 +1,6 @@
 #include "runtime/session.h"
 
 #include "ir/printer.h"
-#include "runtime/variant_run.h"
-#include "support/error.h"
 #include "vm/program_cache.h"
 
 namespace paraprox::runtime {
@@ -79,63 +77,6 @@ KernelSession::program(const std::string& kernel_name) const
     return vm::ProgramCache::global().get_or_compile(*module_, kernel_name);
 }
 
-VariantRun
-KernelSession::run_member(const SessionMember& member,
-                          const core::LaunchPlan& plan, std::uint64_t seed,
-                          vm::ExecMode mode) const
-{
-    PARAPROX_CHECK(plan.bind_inputs != nullptr,
-                   "LaunchPlan needs a bind_inputs callback");
-    exec::ArgPack args;
-    std::vector<std::unique_ptr<exec::Buffer>> storage;
-    plan.bind_inputs(seed, args, storage);
-    core::bind_tables(member.tables, args, storage);
-
-    VariantRun run = mode == vm::ExecMode::Fast
-                         ? run_fast_unpriced(*member.program, args,
-                                             plan.config)
-                         : run_priced(*member.program, args, plan.config,
-                                      options_.device);
-    const exec::Buffer* output = args.find_buffer(plan.output_buffer);
-    PARAPROX_CHECK(output, "LaunchPlan output buffer `" +
-                               plan.output_buffer + "` was not bound");
-    attach_output(run, *output);
-    return run;
-}
-
-std::vector<VariantRun>
-KernelSession::run_member_batch(const SessionMember& member,
-                                const core::LaunchPlan& plan,
-                                const std::vector<std::uint64_t>& seeds) const
-{
-    PARAPROX_CHECK(plan.bind_inputs != nullptr,
-                   "LaunchPlan needs a bind_inputs callback");
-    exec::ArgPack base;
-    std::vector<std::unique_ptr<exec::Buffer>> storage;
-    core::bind_tables(member.tables, base, storage);
-
-    std::vector<exec::ArgPack> packs;
-    packs.reserve(seeds.size());
-    std::vector<const exec::ArgPack*> batch;
-    batch.reserve(seeds.size());
-    for (const std::uint64_t seed : seeds) {
-        packs.push_back(base);
-        plan.bind_inputs(seed, packs.back(), storage);
-        batch.push_back(&packs.back());
-    }
-
-    std::vector<VariantRun> runs =
-        run_batch_unpriced(*member.program, batch, plan.config);
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const exec::Buffer* output =
-            packs[i].find_buffer(plan.output_buffer);
-        PARAPROX_CHECK(output, "LaunchPlan output buffer `" +
-                                   plan.output_buffer + "` was not bound");
-        attach_output(runs[i], *output);
-    }
-    return runs;
-}
-
 std::vector<Variant>
 KernelSession::variants(const core::LaunchPlan& plan) const
 {
@@ -168,26 +109,24 @@ KernelSession::calibration_key(Metric metric, double toq_percent) const
     return key;
 }
 
-KernelSession::WarmTuner
-KernelSession::warm_tuner(const core::LaunchPlan& plan, Metric metric,
-                          const std::vector<std::uint64_t>& training_seeds,
-                          double toq_percent, int check_interval) const
+WarmTuner
+warm_tuner(std::vector<Variant> variants, Metric metric, double toq_percent,
+           const std::vector<std::uint64_t>& training_seeds,
+           const std::optional<store::StoreKey>& key, int check_interval)
 {
     WarmTuner out;
-    const double toq = toq_percent < 0.0 ? options_.toq : toq_percent;
-    out.tuner = std::make_unique<Tuner>(variants(plan), metric, toq,
-                                        check_interval);
+    out.tuner = std::make_unique<Tuner>(std::move(variants), metric,
+                                        toq_percent, check_interval);
 
-    const auto store = store::ArtifactStore::global();
-    const store::StoreKey key = calibration_key(metric, toq);
+    const auto store = key ? store::ArtifactStore::global() : nullptr;
     if (store) {
-        if (const auto stored = store->load_calibration(key))
+        if (const auto stored = store->load_calibration(*key))
             out.warm = out.tuner->restore_calibration(*stored);
     }
     if (!out.warm) {
         out.tuner->calibrate(training_seeds);
         if (store)
-            store->save_calibration(key, out.tuner->calibration_state());
+            store->save_calibration(*key, out.tuner->calibration_state());
     }
     return out;
 }

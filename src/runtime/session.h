@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,29 +70,12 @@ class KernelSession {
     const std::string& kernel() const { return kernel_; }
     const core::CompileOptions& options() const { return options_; }
 
-    /// Execute one member for @p plan on input @p seed: binds the plan's
-    /// inputs, auto-binds the member's lookup tables, launches under the
-    /// session device model and collects the plan's output buffer.
-    /// vm::ExecMode::Fast skips the device pricing entirely (the run's
-    /// modeled_cycles stays 0); outputs are identical in both modes.
-    VariantRun run_member(const SessionMember& member,
-                          const core::LaunchPlan& plan, std::uint64_t seed,
-                          vm::ExecMode mode =
-                              vm::ExecMode::Instrumented) const;
-
-    /// Batched serving entry point: execute one member on every seed as
-    /// a single launch over the concatenated index space (always
-    /// vm::ExecMode::Fast, unpriced).  The member's lookup tables are
-    /// bound once for the whole batch; outputs are identical to
-    /// seeds.size() run_member calls.  A trapped member run poisons only
-    /// its own VariantRun.
-    std::vector<VariantRun> run_member_batch(
-        const SessionMember& member, const core::LaunchPlan& plan,
-        const std::vector<std::uint64_t>& seeds) const;
-
-    /// Tuner-ready variant list over @p plan; variants[0] is exact.  The
-    /// returned closures share ownership of the cached programs and copied
-    /// table bindings, so they stay valid after the session is destroyed.
+    /// Tuner-ready variant list over @p plan, index-aligned with
+    /// members(); variants[0] is exact.  Each variant binds the plan's
+    /// inputs and auto-binds its member's lookup tables on every run.
+    /// The returned closures share ownership of the cached programs and
+    /// copied table bindings, so they stay valid after the session is
+    /// destroyed.
     std::vector<Variant> variants(const core::LaunchPlan& plan) const;
 
     /// One-call convenience: variants(plan) wrapped in a Tuner.  The TOQ
@@ -104,24 +88,9 @@ class KernelSession {
 
     /// The store key under which this session's calibration is persisted:
     /// module fingerprint x kernel x device-model id x TOQ x metric
-    /// (x store-format version, implicitly).
+    /// (x store-format version, implicitly).  warm_tuner() takes it.
     store::StoreKey calibration_key(Metric metric,
                                     double toq_percent = -1.0) const;
-
-    /// tuner() with a durable calibration tier.  Behaviour without a
-    /// global ArtifactStore is identical to tuner()+calibrate().  With
-    /// one, a stored calibration matching calibration_key() is restored
-    /// — skipping the profiling sweep; quality is re-validated on the
-    /// first audit — and a cold calibration is persisted for the next
-    /// process.
-    struct WarmTuner {
-        std::unique_ptr<Tuner> tuner;
-        bool warm = false;  ///< True when restored from the store.
-    };
-    WarmTuner warm_tuner(const core::LaunchPlan& plan, Metric metric,
-                         const std::vector<std::uint64_t>& training_seeds,
-                         double toq_percent = -1.0,
-                         int check_interval = 50) const;
 
   private:
     const ir::Module* module_;
@@ -131,5 +100,23 @@ class KernelSession {
     std::vector<SessionMember> members_;
     std::uint64_t fingerprint_ = 0;
 };
+
+/// A calibrated tuner and where its calibration came from.
+struct WarmTuner {
+    std::unique_ptr<Tuner> tuner;
+    bool warm = false;  ///< True when restored from the store.
+};
+
+/// A Tuner over @p variants with a durable calibration tier.  Without a
+/// @p key or a global ArtifactStore this is Tuner + calibrate().  With
+/// both, a stored calibration under @p key is restored — skipping the
+/// profiling sweep; quality is re-validated on the first audit — and a
+/// cold calibration is persisted for the next process.  For a session,
+/// pass session.variants(plan) and session.calibration_key(metric, toq).
+WarmTuner warm_tuner(std::vector<Variant> variants, Metric metric,
+                     double toq_percent,
+                     const std::vector<std::uint64_t>& training_seeds,
+                     const std::optional<store::StoreKey>& key,
+                     int check_interval = 50);
 
 }  // namespace paraprox::runtime

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "exec/launch.h"
 #include "support/error.h"
 #include "support/parallel.h"
 
@@ -51,7 +52,7 @@ Tuner::calibrate(const std::vector<std::uint64_t>& training_seeds,
     // decided by modeled cycles, which are deterministic per run, so the
     // parallel sweep picks the same variant as a serial one; wall times are
     // advisory and may be skewed by concurrency.  The sweep runs outside
-    // the tuner lock so concurrent run_selected() callers keep serving the
+    // the tuner lock so concurrent serve_batch() callers keep serving the
     // previous selection during a recalibration.
     const std::size_t num_seeds = training_seeds.size();
     std::vector<VariantRun> runs(variants_.size() * num_seeds);
@@ -122,19 +123,7 @@ Tuner::calibrate(const std::vector<std::uint64_t>& training_seeds,
                   return profiles_[a].speedup > profiles_[b].speedup;
               });
     fallback_order_.push_back(0);
-
-    // Degradation ladder rungs: every non-trapped variant — exact and
-    // below-TOQ ones included — fastest-first.  Under load shedding the
-    // serving path walks this list toward cheaper entries.
-    speed_order_.clear();
-    for (std::size_t v = 0; v < variants_.size(); ++v) {
-        if (!profiles_[v].trapped)
-            speed_order_.push_back(static_cast<int>(v));
-    }
-    std::stable_sort(speed_order_.begin(), speed_order_.end(),
-                     [&](int a, int b) {
-                         return profiles_[a].speedup > profiles_[b].speedup;
-                     });
+    rebuild_speed_order_locked();
 
     selected_ = fallback_order_.front();
     calibrated_ = true;
@@ -190,15 +179,7 @@ Tuner::restore_calibration(const CalibrationState& state)
     profiles_ = state.profiles;
     fallback_order_ = state.fallback_order;
     selected_ = state.selected;
-    speed_order_.clear();
-    for (std::size_t v = 0; v < variants_.size(); ++v) {
-        if (!profiles_[v].trapped)
-            speed_order_.push_back(static_cast<int>(v));
-    }
-    std::stable_sort(speed_order_.begin(), speed_order_.end(),
-                     [&](int a, int b) {
-                         return profiles_[a].speedup > profiles_[b].speedup;
-                     });
+    rebuild_speed_order_locked();
     calibrated_ = true;
     audit_next_ = true;
     reset_health_locked();
@@ -236,6 +217,64 @@ Tuner::execute(int index, std::uint64_t input_seed) const
     return variant.run(input_seed);
 }
 
+std::vector<ServedRun>
+Tuner::run_with_fallback(int index,
+                         const std::vector<std::uint64_t>& input_seeds)
+{
+    const Variant& variant = variants_[index];
+    std::vector<VariantRun> runs;
+    if (input_seeds.size() > 1 && variant.run_batch &&
+        serving_mode() == vm::ExecMode::Fast) {
+        runs = variant.run_batch(input_seeds);
+        PARAPROX_CHECK(runs.size() == input_seeds.size(),
+                       "run_batch returned a short batch");
+    } else {
+        // One launch per seed: hand each its own member's token from the
+        // caller's batch scope, which is sized for a coalesced launch and
+        // would otherwise leave every member of a sequential batch
+        // uncancellable.
+        const std::vector<const vm::CancelToken*>* tokens =
+            exec::current_batch_cancel_tokens();
+        if (tokens && tokens->size() != input_seeds.size())
+            tokens = nullptr;
+        runs.reserve(input_seeds.size());
+        for (std::size_t i = 0; i < input_seeds.size(); ++i) {
+            const std::vector<const vm::CancelToken*> member = {
+                tokens ? (*tokens)[i] : nullptr};
+            exec::BatchCancelScope scope(&member);
+            runs.push_back(execute(index, input_seeds[i]));
+        }
+    }
+
+    std::vector<ServedRun> served(runs.size());
+    std::vector<std::size_t> trapped;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        served[i].run = std::move(runs[i]);
+        served[i].index = index;
+        served[i].label = variant.label;
+        if (index != 0 && served[i].run.trapped && !served[i].run.cancelled)
+            trapped.push_back(i);
+    }
+    if (trapped.empty())
+        return served;
+
+    // Unsafe execution: report each trap to the circuit breaker (which,
+    // under the default policy, demotes the variant permanently — §5,
+    // safety) and serve those inputs with the exact kernel.
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (std::size_t n = 0; n < trapped.size(); ++n)
+            record_failure_locked(index);
+    }
+    for (const std::size_t i : trapped) {
+        served[i].run = execute(0, input_seeds[i]);
+        served[i].index = 0;
+        served[i].label = variants_[0].label;
+        served[i].trap_fallback = true;
+    }
+    return served;
+}
+
 VariantRun
 Tuner::invoke(std::uint64_t input_seed)
 {
@@ -255,31 +294,19 @@ Tuner::invoke(std::uint64_t input_seed)
         }
     }
 
-    VariantRun run = execute(index, input_seed);
-    if (run.cancelled) {
-        // Cancellation is the harness dropping the request, not the
-        // variant misbehaving: no exact fallback, no breaker charge, no
-        // quality audit on the partial output.  The caller owns the
-        // token and decides what a cancelled run means.
-        return run;
-    }
-    if (run.trapped && index != 0) {
-        // Unsafe execution: fall back to exact for this input and report
-        // the trap to the circuit breaker (which, under the default
-        // policy, demotes the variant permanently — §5, safety).
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            record_failure_locked(index);
-        }
-        return execute(0, input_seed);
-    }
+    ServedRun served = std::move(run_with_fallback(index, {input_seed})[0]);
+    // A cancelled run is the harness dropping the request and a trap
+    // fallback already reported its failure: neither gets a quality
+    // audit.
+    if (served.run.cancelled || served.trap_fallback)
+        return std::move(served.run);
 
     const bool audit =
         audit_now || (index != 0 && invocation % check_interval_ == 0);
     if (audit) {
         VariantRun exact = execute(0, input_seed);
         const double quality =
-            quality_percent(metric_, exact.output, run.output);
+            quality_percent(metric_, exact.output, served.run.output);
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.quality_checks;
         if (quality < toq_) {
@@ -287,47 +314,7 @@ Tuner::invoke(std::uint64_t input_seed)
             record_failure_locked(index);
         }
     }
-    return run;
-}
-
-ServedRun
-Tuner::serve(std::uint64_t input_seed)
-{
-    int index;
-    bool degraded = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        PARAPROX_CHECK(calibrated_, "call calibrate() before serve()");
-        ++stats_.invocations;
-        index = resolve_serving_index_locked(&degraded);
-    }
-
-    ServedRun served;
-    served.run = execute(index, input_seed);
-    if (served.run.cancelled) {
-        // A cancelled run comes back as-is: no exact fallback (the
-        // request is being dropped or re-driven by the token's owner)
-        // and no breaker charge (the serving layer charges watchdog
-        // cancellations explicitly via record_failure).
-        served.index = index;
-        served.label = variants_[index].label;
-        return served;
-    }
-    if (served.run.trapped && index != 0) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            record_failure_locked(index);
-        }
-        served.run = execute(0, input_seed);
-        served.index = 0;
-        served.label = variants_[0].label;
-        served.trap_fallback = true;
-        return served;
-    }
-    served.index = index;
-    served.label = variants_[index].label;
-    served.degraded = degraded;
-    return served;
+    return std::move(served.run);
 }
 
 BatchServed
@@ -336,74 +323,17 @@ Tuner::serve_batch(const std::vector<std::uint64_t>& input_seeds)
     BatchServed batch;
     if (input_seeds.empty())
         return batch;
-    bool degraded = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         PARAPROX_CHECK(calibrated_, "call calibrate() before serve_batch()");
         stats_.invocations += input_seeds.size();
-        batch.index = resolve_serving_index_locked(&degraded);
+        batch.index = resolve_serving_index_locked(&batch.degraded);
     }
     batch.label = variants_[batch.index].label;
-    batch.degraded = degraded;
-
-    // One concatenated launch when the variant can coalesce; per-seed
-    // execution (same selection, no reselect between members) otherwise.
-    std::vector<VariantRun> runs;
-    if (serving_mode() == vm::ExecMode::Fast &&
-        variants_[batch.index].run_batch) {
-        runs = variants_[batch.index].run_batch(input_seeds);
-        PARAPROX_CHECK(runs.size() == input_seeds.size(),
-                       "run_batch returned a short batch");
-    } else {
-        runs.reserve(input_seeds.size());
-        for (const std::uint64_t seed : input_seeds)
-            runs.push_back(execute(batch.index, seed));
-    }
-
-    batch.runs.resize(input_seeds.size());
-    bool any_trapped = false;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        batch.runs[i].run = std::move(runs[i]);
-        batch.runs[i].index = batch.index;
-        batch.runs[i].label = batch.label;
-        batch.runs[i].degraded = degraded;
-        // Cancelled members are returned as-is (scatter-cancel: the
-        // token's owner resolves them); only genuine traps fall back.
-        any_trapped |= batch.runs[i].run.trapped &&
-                       !batch.runs[i].run.cancelled && batch.index != 0;
-    }
-    if (any_trapped) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            for (const ServedRun& served : batch.runs) {
-                if (served.run.trapped && !served.run.cancelled)
-                    record_failure_locked(batch.index);
-            }
-        }
-        for (std::size_t i = 0; i < batch.runs.size(); ++i) {
-            ServedRun& served = batch.runs[i];
-            if (!served.run.trapped || served.run.cancelled)
-                continue;
-            served.run = execute(0, input_seeds[i]);
-            served.index = 0;
-            served.label = variants_[0].label;
-            served.trap_fallback = true;
-            served.degraded = false;
-        }
-    }
+    batch.runs = run_with_fallback(batch.index, input_seeds);
+    for (ServedRun& served : batch.runs)
+        served.degraded = batch.degraded && !served.trap_fallback;
     return batch;
-}
-
-VariantRun
-Tuner::run_selected(std::uint64_t input_seed, std::string* served_label,
-                    int* served_index)
-{
-    ServedRun served = serve(input_seed);
-    if (served_label)
-        *served_label = std::move(served.label);
-    if (served_index)
-        *served_index = served.index;
-    return std::move(served.run);
 }
 
 VariantRun
@@ -543,6 +473,23 @@ Tuner::reset_health_locked()
     health_.assign(variants_.size(), {});
 }
 
+void
+Tuner::rebuild_speed_order_locked()
+{
+    // Degradation ladder rungs: every non-trapped variant — exact and
+    // below-TOQ ones included — fastest-first.  Under load shedding the
+    // serving path walks this list toward cheaper entries.
+    speed_order_.clear();
+    for (std::size_t v = 0; v < variants_.size(); ++v) {
+        if (!profiles_[v].trapped)
+            speed_order_.push_back(static_cast<int>(v));
+    }
+    std::stable_sort(speed_order_.begin(), speed_order_.end(),
+                     [&](int a, int b) {
+                         return profiles_[a].speedup > profiles_[b].speedup;
+                     });
+}
+
 int
 Tuner::resolve_serving_index_locked(bool* degraded) const
 {
@@ -674,10 +621,10 @@ Tuner::selected_index() const
 const std::string&
 Tuner::selected_label() const
 {
-    // Lock even though only an int is read: drop_selected_and_advance()
-    // rewrites selected_ from the serving path, and an unsynchronized
-    // read is a data race (labels themselves are immutable, so the
-    // returned reference is safe to hold).
+    // Lock even though only an int is read: breaker openings and probe
+    // reinstatements (reselect_locked) rewrite selected_ from the serving
+    // path, and an unsynchronized read is a data race (labels themselves
+    // are immutable, so the returned reference is safe to hold).
     std::lock_guard<std::mutex> lock(mutex_);
     return variants_[selected_].label;
 }
@@ -687,20 +634,6 @@ Tuner::stats_snapshot() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
-}
-
-std::string
-Tuner::selected_label_snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return variants_[selected_].label;
-}
-
-int
-Tuner::selected_index_snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return selected_;
 }
 
 }  // namespace paraprox::runtime

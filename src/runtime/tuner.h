@@ -66,8 +66,9 @@ struct Variant {
     /// launch over the concatenated index space (vm::ExecMode::Fast,
     /// unpriced), returning one run per seed in order — lookup tables are
     /// bound once for the whole batch and a trapped member poisons only
-    /// its own run.  Used by Tuner::serve_batch when the serving mode is
-    /// Fast; when empty, batches fall back to per-seed execution.
+    /// its own run.  Used by Tuner::serve_batch for two or more seeds when
+    /// the serving mode is Fast; when empty, batches fall back to per-seed
+    /// execution.
     std::function<std::vector<VariantRun>(
         const std::vector<std::uint64_t>& input_seeds)>
         run_batch;
@@ -133,7 +134,7 @@ struct BreakerSnapshot {
     std::uint64_t reopen_at = 0;  ///< Invocation when probing may start.
 };
 
-/// What Tuner::serve() produced, with the accounting a serving layer
+/// What serving one input produced, with the accounting a serving layer
 /// needs: which variant actually ran, and why.
 struct ServedRun {
     VariantRun run;
@@ -192,7 +193,7 @@ class Tuner {
     /// stats().recalibrations.  Unlike the permanent demotion of invoke()
     /// backoff, a recalibration can re-promote a previously dropped
     /// variant once inputs recover.  Safe to call while other threads are
-    /// inside run_selected() / run_exact(); they keep serving the old
+    /// inside serve_batch() / run_exact(); they keep serving the old
     /// selection until the new one is installed.
     const std::vector<VariantProfile>&
     recalibrate(const std::vector<std::uint64_t>& training_seeds,
@@ -201,38 +202,22 @@ class Tuner {
     /// Execute the current selection on @p input_seed.  Periodically also
     /// runs the exact kernel on the same input to audit quality; on a TOQ
     /// violation, steps down to the next less aggressive variant.
-    /// Single-caller: concurrent serving goes through run_selected().
+    /// Single-caller: concurrent serving goes through serve_batch().
     VariantRun invoke(std::uint64_t input_seed);
 
-    /// Thread-safe serving path: execute the currently selected variant
-    /// without invoke()'s periodic quality audit — a serving layer is
-    /// expected to own auditing (see serve::QualityMonitor).  A trapped
-    /// execution still demotes the variant and re-serves the input with
-    /// the exact kernel.  When provided, @p served_label / @p served_index
-    /// receive the variant that actually produced the returned run (the
-    /// exact kernel after a trap fallback) — unlike a separate
-    /// selected_*_snapshot() call, they cannot race with a concurrent
-    /// reselection.
-    VariantRun run_selected(std::uint64_t input_seed,
-                            std::string* served_label = nullptr,
-                            int* served_index = nullptr);
-
-    /// Thread-safe serving path with full accounting: executes the
-    /// current selection adjusted for the degradation level, falls back
-    /// to exact on a trap (reporting the failure to the breaker), and
-    /// names the variant that actually produced the run.  run_selected()
-    /// is a thin wrapper over this.
-    ServedRun serve(std::uint64_t input_seed);
-
-    /// Coalesced serving path: resolve the selection (and the ladder)
-    /// once, then execute every seed against it — through the variant's
-    /// run_batch closure as one concatenated launch when the serving
-    /// mode is Fast and the closure exists, per-seed otherwise.  Counts
-    /// seeds.size() invocations.  Per-member semantics match serve():
-    /// each trapped member reports its failure to the breaker and is
-    /// re-served exact, without disturbing its batch-mates.  The
-    /// selection is held fixed across the batch; a breaker opened by a
-    /// mid-batch trap moves the *next* batch's selection.
+    /// Thread-safe serving path: resolve the selection (and the ladder)
+    /// once, then execute every seed against it without invoke()'s
+    /// periodic quality audit — a serving layer is expected to own
+    /// auditing (see serve::QualityMonitor).  In Fast serving mode a
+    /// batch of two or more runs through the variant's run_batch closure
+    /// as one concatenated launch when the closure exists; a batch of
+    /// one, or any batch in Instrumented mode, runs per seed.  Counts
+    /// seeds.size() invocations.  Each trapped member reports its
+    /// failure to the breaker and is re-served exact, without disturbing
+    /// its batch-mates, and its ServedRun names the variant that
+    /// actually produced it.  The selection is held fixed across the
+    /// batch; a breaker opened by a mid-batch trap moves the *next*
+    /// batch's selection.
     BatchServed serve_batch(const std::vector<std::uint64_t>& input_seeds);
 
     /// Thread-safe: execute the exact kernel (variants[0]) on
@@ -279,11 +264,11 @@ class Tuner {
     /// selection L entries toward the fastest calibrated variant —
     /// deliberately trading quality for throughput — skipping
     /// quarantined variants.  Level 0 (default) serves the calibrated
-    /// selection.  Thread-safe; takes effect on the next serve().
+    /// selection.  Thread-safe; takes effect on the next serve_batch().
     void set_degradation_level(int level);
     int degradation_level() const;
 
-    /// How invoke()/run_selected()/run_exact() execute variants.
+    /// How invoke()/serve_batch()/run_exact() execute variants.
     /// Calibration always uses the instrumented `run` closures — it needs
     /// the modeled cycles — but steady-state serving can switch to
     /// vm::ExecMode::Fast so requests stop paying for profiling (paper §5:
@@ -321,20 +306,18 @@ class Tuner {
     /// reselect_locked), so even these simple reads must
     /// synchronize.  The returned label reference stays valid — variant
     /// labels are immutable — but may be superseded by the time the
-    /// caller reads it; use run_selected's out-parameters to name the
-    /// variant that served a specific request.
+    /// caller reads it; a ServedRun names the variant that served a
+    /// specific request.
     int selected_index() const;
     const std::string& selected_label() const;
 
     const TunerStats& stats() const { return stats_; }
     const std::vector<VariantProfile>& profiles() const { return profiles_; }
 
-    /// Copies taken under the tuner lock, for observers that run
+    /// A copy taken under the tuner lock, for observers that run
     /// concurrently with serving (the reference accessors above are only
     /// safe once the tuner has quiesced).
     TunerStats stats_snapshot() const;
-    std::string selected_label_snapshot() const;
-    int selected_index_snapshot() const;
 
   private:
     /// Per-variant circuit-breaker state (indexed like variants_).
@@ -363,11 +346,28 @@ class Tuner {
     /// mutex_.
     void reset_health_locked();
 
+    /// Rebuild the degradation ladder's rungs from profiles_.  Caller
+    /// holds mutex_.
+    void rebuild_speed_order_locked();
+
     /// Apply the degradation ladder to selected_.  Caller holds mutex_.
     int resolve_serving_index_locked(bool* degraded) const;
 
     /// Execute variant @p index under the current serving mode.
     VariantRun execute(int index, std::uint64_t input_seed) const;
+
+    /// The one execute-and-fall-back step under invoke() and
+    /// serve_batch(): run variant @p index on every seed (one run_batch
+    /// launch for two or more seeds in Fast mode when the variant has
+    /// the closure, per seed otherwise — each seed's launches under its
+    /// own token from the caller's exec::BatchCancelScope), then re-serve
+    /// each trapped member exact and charge the trap to the variant's
+    /// breaker.
+    /// Cancelled members come back as-is — the token's owner decides
+    /// what a cancelled run means, so there is no fallback and no
+    /// breaker charge.
+    std::vector<ServedRun> run_with_fallback(
+        int index, const std::vector<std::uint64_t>& input_seeds);
 
     std::vector<Variant> variants_;  ///< Immutable after construction.
     Metric metric_;

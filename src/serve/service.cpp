@@ -23,6 +23,11 @@ resolve_workers(std::size_t requested)
     return hw != 0 ? hw : 4;
 }
 
+/// Check interval for registered tuners: the Tuner default.  The service
+/// audits through its QualityMonitor and never calls invoke(), so the
+/// interval does not pace anything here.
+constexpr int kCheckInterval = 50;
+
 }  // namespace
 
 const char*
@@ -65,13 +70,13 @@ ApproxService::install_kernel(std::unique_ptr<KernelState> state)
 {
     // Calibration (already done by the callers) runs the instrumented
     // closures regardless; the mode only governs how workers serve.
-    state->tuner.set_serving_mode(config_.exec_mode);
-    state->tuner.set_quarantine(config_.quarantine);
+    state->tuner->set_serving_mode(config_.exec_mode);
+    state->tuner->set_quarantine(config_.quarantine);
     // A service created while load shedding is already in effect brings
     // newly registered kernels onto the current ladder level.
     {
         std::lock_guard<std::mutex> lock(pressure_mutex_);
-        state->tuner.set_degradation_level(degradation_level_);
+        state->tuner->set_degradation_level(degradation_level_);
     }
     const std::string name = state->name;
     std::lock_guard<std::mutex> lock(kernels_mutex_);
@@ -90,27 +95,14 @@ ApproxService::register_kernel(
     const std::vector<std::uint64_t>& training_seeds,
     std::optional<store::StoreKey> warm_key)
 {
-    auto state = std::make_unique<KernelState>(
-        name, std::move(variants), metric, toq_percent, config_.monitor,
-        training_seeds);
-
-    const auto store =
-        warm_key ? store::ArtifactStore::global() : nullptr;
-    bool warm = false;
-    if (store) {
-        if (const auto stored = store->load_calibration(*warm_key))
-            warm = state->tuner.restore_calibration(*stored);
-    }
-    if (warm) {
-        metrics_.warm_registrations.fetch_add(1,
-                                              std::memory_order_relaxed);
-    } else {
-        state->tuner.calibrate(training_seeds);
-        if (store)
-            store->save_calibration(*warm_key,
-                                    state->tuner.calibration_state());
-    }
-    install_kernel(std::move(state));
+    runtime::WarmTuner warm =
+        runtime::warm_tuner(std::move(variants), metric, toq_percent,
+                            training_seeds, warm_key, kCheckInterval);
+    if (warm.warm)
+        metrics_.warm_registrations.fetch_add(1, std::memory_order_relaxed);
+    install_kernel(std::make_unique<KernelState>(
+        name, std::move(warm.tuner), metric, toq_percent, config_.monitor,
+        training_seeds));
 }
 
 void
@@ -120,46 +112,13 @@ ApproxService::register_pipeline(
     const std::vector<std::uint64_t>& training_seeds,
     const runtime::JointSearchOptions& search)
 {
-    const auto store = store::ArtifactStore::global();
-    const store::StoreKey key =
-        session.calibration_key(metric, toq_percent);
-
-    // Warm path: rebuild the stored plan's joint variants directly —
-    // variant construction itself must skip the search (zero probe
-    // runs), not just the calibration sweep.
-    std::unique_ptr<KernelState> state;
-    if (store) {
-        if (const auto stored = store->load_pipeline_calibration(key);
-            stored && stored->stage_names == session.stage_names()) {
-            if (auto configs = session.configs_for(stored->configs)) {
-                auto candidate = std::make_unique<KernelState>(
-                    name, session.variants_from(*configs), metric,
-                    toq_percent, config_.monitor, training_seeds);
-                if (candidate->tuner.restore_calibration(
-                        stored->calibration)) {
-                    state = std::move(candidate);
-                    metrics_.warm_pipelines.fetch_add(
-                        1, std::memory_order_relaxed);
-                }
-            }
-        }
-    }
-    if (!state) {
-        state = std::make_unique<KernelState>(
-            name, session.joint_variants(search), metric, toq_percent,
-            config_.monitor, training_seeds);
-        state->tuner.calibrate(training_seeds);
-        if (store) {
-            store::PipelineCalibrationArtifact artifact;
-            artifact.stage_names = session.stage_names();
-            for (const runtime::JointConfig& config : session.configs())
-                artifact.configs.push_back(config.labels);
-            artifact.calibration = state->tuner.calibration_state();
-            artifact.toq = toq_percent;
-            artifact.metric = to_string(metric);
-            store->save_pipeline_calibration(key, artifact);
-        }
-    }
+    runtime::WarmTuner warm = session.warm_tuner(
+        metric, training_seeds, toq_percent, kCheckInterval, search);
+    if (warm.warm)
+        metrics_.warm_pipelines.fetch_add(1, std::memory_order_relaxed);
+    auto state = std::make_unique<KernelState>(
+        name, std::move(warm.tuner), metric, toq_percent, config_.monitor,
+        training_seeds);
     state->pipeline_stats = session.stats();
     install_kernel(std::move(state));
 }
@@ -171,48 +130,14 @@ ApproxService::register_data_kernel(
     double toq_percent, const std::vector<std::uint64_t>& training_seeds,
     const runtime::DataTierOptions& options)
 {
-    const auto store = store::ArtifactStore::global();
-    const store::StoreKey key =
-        runtime::data_calibration_key(session, metric, toq_percent);
-
-    // Warm path: rebuild variants from the stored plans — the rebuild
-    // re-runs the safety analysis, so a stale or tampered record that
-    // packs a pinned buffer falls through to a cold build instead.
-    std::unique_ptr<KernelState> state;
-    if (store) {
-        if (const auto stored = store->load_precision_calibration(key)) {
-            runtime::DataTier tier =
-                runtime::rebuild_data_tier(session, plan, stored->plans);
-            if (!tier.variants.empty()) {
-                auto candidate = std::make_unique<KernelState>(
-                    name, std::move(tier.variants), metric, toq_percent,
-                    config_.monitor, training_seeds);
-                if (candidate->tuner.restore_calibration(
-                        stored->calibration)) {
-                    state = std::move(candidate);
-                    metrics_.warm_data_tiers.fetch_add(
-                        1, std::memory_order_relaxed);
-                }
-            }
-        }
-    }
-    if (!state) {
-        runtime::DataTier tier =
-            runtime::build_data_tier(session, plan, options);
-        state = std::make_unique<KernelState>(
-            name, std::move(tier.variants), metric, toq_percent,
-            config_.monitor, training_seeds);
-        state->tuner.calibrate(training_seeds);
-        if (store) {
-            store::PrecisionCalibrationArtifact artifact;
-            artifact.plans = std::move(tier.plans);
-            artifact.calibration = state->tuner.calibration_state();
-            artifact.toq = toq_percent;
-            artifact.metric = to_string(metric);
-            store->save_precision_calibration(key, artifact);
-        }
-    }
-    install_kernel(std::move(state));
+    runtime::WarmDataTuner warm =
+        runtime::warm_data_tuner(session, plan, metric, training_seeds,
+                                 toq_percent, kCheckInterval, options);
+    if (warm.warm)
+        metrics_.warm_data_tiers.fetch_add(1, std::memory_order_relaxed);
+    install_kernel(std::make_unique<KernelState>(
+        name, std::move(warm.tuner), metric, toq_percent, config_.monitor,
+        training_seeds));
 }
 
 ApproxService::KernelState*
@@ -406,104 +331,8 @@ ApproxService::update_pressure(std::size_t depth, int weight)
     if (new_level >= 0) {
         std::lock_guard<std::mutex> lock(kernels_mutex_);
         for (const auto& [name, state] : kernels_)
-            state->tuner.set_degradation_level(new_level);
+            state->tuner->set_degradation_level(new_level);
     }
-}
-
-Response
-ApproxService::serve_one(KernelState& state, std::uint64_t seed,
-                         const vm::CancelToken* cancel)
-{
-    Response response;
-    if (state.recalibrating.load(std::memory_order_acquire) ||
-        state.awaiting_adoption.load(std::memory_order_acquire)) {
-        // The tuner is re-profiling (or a scale-out peer is, and this
-        // replica is waiting to adopt its publish): keep serving with
-        // the always-safe exact kernel rather than blocking (or
-        // dropping) the request.
-        response.run = state.tuner.run_exact(seed);
-        response.served_by = "exact";
-        metrics_.exact_while_recalibrating.fetch_add(
-            1, std::memory_order_relaxed);
-        return response;
-    }
-
-    // Half-open probing: when a quarantined variant's cooldown has
-    // elapsed, ride a paced sample of requests to re-test it off the
-    // client path.  The client always gets the exact output — a probe
-    // never exposes a suspect variant to a caller — while the probe run
-    // decides reinstatement.
-    if (const int probe_index = state.tuner.probe_candidate();
-        probe_index > 0 && state.monitor.admit_probe()) {
-        response.run = state.tuner.run_exact(seed);
-        response.served_by = "exact";
-        const runtime::VariantRun probe =
-            state.tuner.run_probe(probe_index, seed);
-        const bool healthy =
-            !probe.trapped &&
-            runtime::quality_percent(state.metric, response.run.output,
-                                     probe.output) >= state.toq;
-        state.tuner.record_probe(probe_index, healthy);
-        return response;
-    }
-
-    const auto start = std::chrono::steady_clock::now();
-    runtime::ServedRun served;
-    {
-        // The token is armed around the primary serve only: the detours
-        // above and the fallbacks below run exact, and exact is the
-        // trusted tier — it always finishes on the VM's own instruction
-        // budget.
-        exec::CancelScope scope(cancel);
-        served = state.tuner.serve(seed);
-    }
-    metrics_.launch_groups_completed.fetch_add(
-        static_cast<std::uint64_t>(served.run.groups_completed),
-        std::memory_order_relaxed);
-    if (served.run.cancelled && cancel != nullptr) {
-        bool hang_charged = false;
-        return finish_cancelled(state, seed, served, *cancel, hang_charged);
-    }
-    observe_launch_wall(
-        state, std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start)
-                   .count());
-
-    response.run = std::move(served.run);
-    response.served_by = std::move(served.label);
-    response.degraded = served.degraded;
-    response.trap_fallback = served.trap_fallback;
-    if (served.trap_fallback)
-        metrics_.trap_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    if (served.degraded)
-        metrics_.degraded_serves.fetch_add(1, std::memory_order_relaxed);
-
-    // Shadow only clean approximate runs: auditing exact against itself
-    // tells the monitor nothing, a trap fallback already reported its
-    // failure, and a degraded serve is *expected* to miss the TOQ — a
-    // deliberate load-shedding choice must not read as drift or count
-    // against the variant's breaker.  The short-circuit also keeps
-    // admit() from burning shadow slots on runs that cannot be audited.
-    const bool shadow = served.index != 0 && !served.trap_fallback &&
-                        !served.degraded && state.monitor.admit(seed);
-    if (shadow) {
-        const runtime::VariantRun exact = state.tuner.run_exact(seed);
-        response.shadowed = true;
-        response.shadow_quality = runtime::quality_percent(
-            state.metric, exact.output, response.run.output);
-        metrics_.shadow_runs.fetch_add(1, std::memory_order_relaxed);
-        if (response.shadow_quality < state.toq) {
-            metrics_.shadow_violations.fetch_add(1,
-                                                 std::memory_order_relaxed);
-            // A quality failure counts against the variant's breaker just
-            // like a trap: K sustained misses quarantine it even before
-            // the monitor's slower drift trigger fires.
-            state.tuner.record_failure(served.index);
-        }
-        if (state.monitor.record(response.shadow_quality))
-            trigger_recalibration(state, {});
-    }
-    return response;
 }
 
 void
@@ -514,8 +343,8 @@ ApproxService::serve_batch(std::size_t worker, KernelState& state,
     // with a reason instead of wasting launch capacity on answers nobody
     // reads.  The rest of the batch is unaffected.
     const auto now = std::chrono::steady_clock::now();
-    std::vector<Job*> live;
-    live.reserve(jobs.size());
+    std::vector<Job*> launched;
+    launched.reserve(jobs.size());
     for (Job& job : jobs) {
         if (job.deadline && now >= *job.deadline) {
             metrics_.deadline_expired.fetch_add(1,
@@ -526,66 +355,84 @@ ApproxService::serve_batch(std::size_t worker, KernelState& state,
             finish_one();
             continue;
         }
-        live.push_back(&job);
+        if (!serve_detour(state, job))
+            launched.push_back(&job);
     }
-    if (live.empty())
-        return;
+    if (!launched.empty())
+        launch_jobs(worker, state, launched);
+}
 
-    // Singleton, recalibration, and probe traffic takes the per-request
-    // path: exact-while-recalibrating and half-open probing are
-    // inherently per request (a probe rides one client request off the
-    // hot path), and a batch of one has nothing to amortize.
-    const bool watched = config_.watchdog.enabled;
-    if (live.size() == 1 ||
+bool
+ApproxService::serve_detour(KernelState& state, Job& job)
+{
+    // The tuner is re-profiling (or a scale-out peer is, and this replica
+    // is waiting to adopt its publish): keep serving with the always-safe
+    // exact kernel rather than blocking (or dropping) the request.
+    const bool exact_only =
         state.recalibrating.load(std::memory_order_acquire) ||
-        state.awaiting_adoption.load(std::memory_order_acquire) ||
-        state.tuner.probe_candidate() > 0) {
-        for (Job* job : live) {
-            // One flight per request on this path: requests run
-            // sequentially, so a shared registration would let earlier
-            // members' wall time count against later ones' hang ceiling.
-            std::shared_ptr<vm::CancelToken> token;
-            if (watched) {
-                token = std::make_shared<vm::CancelToken>();
-                WatchdogFlight flight;
-                flight.started = std::chrono::steady_clock::now();
-                flight.ceiling = hang_ceiling(state);
-                flight.members.push_back({token, job->deadline});
-                watchdog_.begin_flight(worker, std::move(flight));
-            }
-            try {
-                Response response =
-                    serve_one(state, job->seed, token.get());
-                if (watched)
-                    watchdog_.end_flight(worker);
-                resolve_job(*job, std::move(response));
-            } catch (...) {
-                if (watched)
-                    watchdog_.end_flight(worker);
-                job->promise.set_exception(std::current_exception());
-                finish_one();
-            }
-        }
-        return;
+        state.awaiting_adoption.load(std::memory_order_acquire);
+
+    // Half-open probing: when a quarantined variant's cooldown has
+    // elapsed, ride a paced sample of requests to re-test it off the
+    // client path.  The client always gets the exact output — a probe
+    // never exposes a suspect variant to a caller — while the probe run
+    // decides reinstatement.
+    int probe_index = 0;
+    if (!exact_only) {
+        probe_index = state.tuner->probe_candidate();
+        if (probe_index <= 0 || !state.monitor.admit_probe())
+            return false;
     }
 
+    Response response;
+    try {
+        response.run = state.tuner->run_exact(job.seed);
+        response.served_by = "exact";
+        if (exact_only) {
+            metrics_.exact_while_recalibrating.fetch_add(
+                1, std::memory_order_relaxed);
+        } else {
+            const runtime::VariantRun probe =
+                state.tuner->run_probe(probe_index, job.seed);
+            const bool healthy =
+                !probe.trapped &&
+                runtime::quality_percent(state.metric, response.run.output,
+                                         probe.output) >= state.toq;
+            state.tuner->record_probe(probe_index, healthy);
+        }
+    } catch (...) {
+        job.promise.set_exception(std::current_exception());
+        finish_one();
+        return true;
+    }
+    resolve_job(job, std::move(response));
+    return true;
+}
+
+void
+ApproxService::launch_jobs(std::size_t worker, KernelState& state,
+                           const std::vector<Job*>& jobs)
+{
     std::vector<std::uint64_t> seeds;
-    seeds.reserve(live.size());
-    for (const Job* job : live)
+    seeds.reserve(jobs.size());
+    for (const Job* job : jobs)
         seeds.push_back(job->seed);
 
-    // One watchdog flight for the whole coalesced launch, one token per
-    // member in seeds order — the order launch_batch sees, which is what
-    // lets the sweep scatter-cancel exactly the expired members.
+    // One watchdog flight per launch, one token per member in seeds order
+    // — the order launch_batch sees, which is what lets the sweep
+    // scatter-cancel exactly the expired members.  The tokens are armed
+    // around the tuner call only: the shadow and watchdog-fallback exact
+    // runs below are the trusted tier and always run to completion.
+    const bool watched = config_.watchdog.enabled;
     std::vector<std::shared_ptr<vm::CancelToken>> tokens;
     std::vector<const vm::CancelToken*> member_tokens;
     if (watched) {
         WatchdogFlight flight;
         flight.started = std::chrono::steady_clock::now();
         flight.ceiling = hang_ceiling(state);
-        tokens.reserve(live.size());
-        member_tokens.reserve(live.size());
-        for (const Job* job : live) {
+        tokens.reserve(jobs.size());
+        member_tokens.reserve(jobs.size());
+        for (const Job* job : jobs) {
             auto token = std::make_shared<vm::CancelToken>();
             flight.members.push_back({token, job->deadline});
             member_tokens.push_back(token.get());
@@ -598,12 +445,12 @@ ApproxService::serve_batch(std::size_t worker, KernelState& state,
     runtime::BatchServed batch;
     try {
         exec::BatchCancelScope scope(watched ? &member_tokens : nullptr);
-        batch = state.tuner.serve_batch(seeds);
+        batch = state.tuner->serve_batch(seeds);
     } catch (...) {
         if (watched)
             watchdog_.end_flight(worker);
         const std::exception_ptr error = std::current_exception();
-        for (Job* job : live) {
+        for (Job* job : jobs) {
             job->promise.set_exception(error);
             finish_one();
         }
@@ -611,25 +458,26 @@ ApproxService::serve_batch(std::size_t worker, KernelState& state,
     }
     if (watched)
         watchdog_.end_flight(worker);
-    const double batch_wall =
+    const double launch_wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
     const double amortized =
-        batch_wall / static_cast<double>(live.size());
+        launch_wall / static_cast<double>(jobs.size());
 
     bool any_cancelled = false;
     bool hang_charged = false;
-    for (std::size_t i = 0; i < live.size(); ++i) {
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
         runtime::ServedRun& served = batch.runs[i];
-        metrics_.batch_latency.record(amortized);
+        if (jobs.size() > 1)
+            metrics_.batch_latency.record(amortized);
         metrics_.launch_groups_completed.fetch_add(
             static_cast<std::uint64_t>(served.run.groups_completed),
             std::memory_order_relaxed);
         if (served.run.cancelled && watched) {
             any_cancelled = true;
-            resolve_job(*live[i],
-                        finish_cancelled(state, live[i]->seed, served,
+            resolve_job(*jobs[i],
+                        finish_cancelled(state, jobs[i]->seed, served,
                                          *tokens[i], hang_charged));
             continue;
         }
@@ -645,14 +493,19 @@ ApproxService::serve_batch(std::size_t worker, KernelState& state,
             metrics_.degraded_serves.fetch_add(1,
                                                std::memory_order_relaxed);
 
-        // Per-member shadow sampling, same policy as serve_one: audit
-        // only clean approximate runs, one admit() decision per request.
+        // Shadow only clean approximate runs, one admit() decision per
+        // request: auditing exact against itself tells the monitor
+        // nothing, a trap fallback already reported its failure, and a
+        // degraded serve is *expected* to miss the TOQ — a deliberate
+        // load-shedding choice must not read as drift or count against
+        // the variant's breaker.  The short-circuit also keeps admit()
+        // from burning shadow slots on runs that cannot be audited.
         const bool shadow = served.index != 0 && !served.trap_fallback &&
                             !served.degraded &&
-                            state.monitor.admit(live[i]->seed);
+                            state.monitor.admit(jobs[i]->seed);
         if (shadow) {
             const runtime::VariantRun exact =
-                state.tuner.run_exact(live[i]->seed);
+                state.tuner->run_exact(jobs[i]->seed);
             response.shadowed = true;
             response.shadow_quality = runtime::quality_percent(
                 state.metric, exact.output, response.run.output);
@@ -660,18 +513,21 @@ ApproxService::serve_batch(std::size_t worker, KernelState& state,
             if (response.shadow_quality < state.toq) {
                 metrics_.shadow_violations.fetch_add(
                     1, std::memory_order_relaxed);
-                state.tuner.record_failure(served.index);
+                // A quality failure counts against the variant's breaker
+                // just like a trap: K sustained misses quarantine it even
+                // before the monitor's slower drift trigger fires.
+                state.tuner->record_failure(served.index);
             }
             if (state.monitor.record(response.shadow_quality))
                 trigger_recalibration(state, {});
         }
-        resolve_job(*live[i], std::move(response));
+        resolve_job(*jobs[i], std::move(response));
     }
     // A cancelled launch's wall clock says nothing about a healthy one —
     // the deadline/ceiling capped it — so only clean launches feed the
     // hang-ceiling EWMA.
     if (!any_cancelled)
-        observe_launch_wall(state, batch_wall);
+        observe_launch_wall(state, launch_wall);
 }
 
 Response
@@ -689,10 +545,10 @@ ApproxService::finish_cancelled(KernelState& state, std::uint64_t seed,
         // breaker failures and gets quarantined, not re-served.
         metrics_.watchdog_cancels.fetch_add(1, std::memory_order_relaxed);
         if (!hang_charged && served.index > 0) {
-            state.tuner.record_failure(served.index);
+            state.tuner->record_failure(served.index);
             hang_charged = true;
         }
-        response.run = state.tuner.run_exact(seed);
+        response.run = state.tuner->run_exact(seed);
         response.served_by = "exact";
         response.watchdog_fallback = true;
         metrics_.watchdog_fallbacks.fetch_add(1,
@@ -789,7 +645,7 @@ ApproxService::adopt_calibration(const std::string& kernel,
 {
     KernelState* state = find_kernel(kernel);
     if (state == nullptr ||
-        !state->tuner.restore_calibration(calibration)) {
+        !state->tuner->restore_calibration(calibration)) {
         metrics_.adoption_rejects.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
@@ -797,7 +653,7 @@ ApproxService::adopt_calibration(const std::string& kernel,
     // skipped by adopt_quarantine; the calibration itself was already
     // validated against the live variant list.
     for (const auto& label : quarantined)
-        state->tuner.adopt_quarantine(label);
+        state->tuner->adopt_quarantine(label);
     state->monitor.on_recalibrated();
     state->awaiting_adoption.store(false, std::memory_order_release);
     metrics_.adopted_calibrations.fetch_add(1, std::memory_order_relaxed);
@@ -867,7 +723,7 @@ ApproxService::trigger_recalibration(KernelState& state,
             seeds = state.training_seeds;
         bool recalibrated = true;
         try {
-            state.tuner.recalibrate(seeds);
+            state.tuner->recalibrate(seeds);
         } catch (...) {
             // An exact-kernel trap during re-profiling leaves the
             // previous selection standing; serving continues either way.
@@ -884,8 +740,8 @@ ApproxService::trigger_recalibration(KernelState& state,
             }
             if (publisher) {
                 try {
-                    publisher(state.name, state.tuner.calibration_state(),
-                              state.tuner.quarantined_labels());
+                    publisher(state.name, state.tuner->calibration_state(),
+                              state.tuner->quarantined_labels());
                 } catch (...) {
                     // Publishing is best-effort; peers fall back to
                     // their own lease-stealing recalibration.
@@ -949,14 +805,14 @@ ApproxService::snapshot_kernel(const KernelState& state) const
     KernelSnapshot out;
     out.kernel = state.name;
     out.queue_depth = queue_.shard_size(state.shard);
-    out.selected = state.tuner.selected_label_snapshot();
+    out.selected = state.tuner->selected_label();
     out.recalibrating = state.recalibrating.load(std::memory_order_acquire);
     out.awaiting_adoption =
         state.awaiting_adoption.load(std::memory_order_acquire);
-    out.degradation_level = state.tuner.degradation_level();
-    out.tuner = state.tuner.stats_snapshot();
+    out.degradation_level = state.tuner->degradation_level();
+    out.tuner = state.tuner->stats_snapshot();
     out.monitor = state.monitor.snapshot();
-    out.breakers = state.tuner.breaker_snapshot();
+    out.breakers = state.tuner->breaker_snapshot();
     if (state.pipeline_stats) {
         const auto& stats = *state.pipeline_stats;
         out.stages.reserve(stats.num_stages());

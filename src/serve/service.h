@@ -346,18 +346,19 @@ class ApproxService {
 
   private:
     struct KernelState {
-        KernelState(std::string name_, std::vector<runtime::Variant> vs,
+        KernelState(std::string name_,
+                    std::unique_ptr<runtime::Tuner> tuner_,
                     runtime::Metric metric_, double toq_,
                     QualityMonitor::Config monitor_config,
                     std::vector<std::uint64_t> seeds)
-            : name(std::move(name_)),
-              tuner(std::move(vs), metric_, toq_),
+            : name(std::move(name_)), tuner(std::move(tuner_)),
               metric(metric_), toq(toq_),
               monitor(toq_, monitor_config),
               training_seeds(std::move(seeds)) {}
 
         const std::string name;
-        runtime::Tuner tuner;
+        /// Calibrated (or restored) by the registration call.
+        const std::unique_ptr<runtime::Tuner> tuner;
         const runtime::Metric metric;
         const double toq;
         QualityMonitor monitor;
@@ -386,17 +387,24 @@ class ApproxService {
     };
 
     void worker_loop(std::size_t worker_index);
-    /// Serve one request; @p cancel (may be null) is armed around the
-    /// primary tuner call only — exact detours (recalibration, probes,
-    /// trap and watchdog fallbacks) always run to completion.
-    Response serve_one(KernelState& state, std::uint64_t seed,
-                       const vm::CancelToken* cancel);
-    /// Serve one popped batch (all jobs share a kernel): scatter expired
-    /// members to DeadlineExceeded, run the rest as one coalesced launch
-    /// registered with the watchdog under @p worker's slot, and resolve
+    /// Serve one popped batch of 1 or N jobs (all share a kernel):
+    /// scatter expired members to DeadlineExceeded, serve detour members
+    /// (serve_detour), run the rest through launch_jobs, and resolve
     /// every member's future.
     void serve_batch(std::size_t worker, KernelState& state,
                      std::vector<Job>& jobs);
+    /// Per-request detours that never reach the launch: exact while the
+    /// kernel recalibrates or awaits a peer's publish, and half-open
+    /// quarantine probes riding an admitted request.  Resolves @p job and
+    /// returns true when it took one; false means launch it.
+    bool serve_detour(KernelState& state, Job& job);
+    /// The one launch routine: run @p jobs through Tuner::serve_batch
+    /// under one watchdog flight (one cancel token per member, armed via
+    /// exec::BatchCancelScope) in @p worker's slot, then build each
+    /// member's response — cancellation, trap fallback, shadow audit —
+    /// and resolve it.
+    void launch_jobs(std::size_t worker, KernelState& state,
+                     const std::vector<Job*>& jobs);
     /// Resolve one job's future with @p response.  Ok responses record
     /// sojourn latency and the served counter; non-Ok responses (deadline
     /// cancellations) resolve the future and the flight only, keeping

@@ -290,10 +290,11 @@ TEST_F(CancelTest, PreCancelledTokenSkipsTheWholeLaunch)
     args.buffer("out", out);
     vm::CancelToken token;
     ASSERT_TRUE(token.cancel(vm::CancelReason::Deadline));
-    LaunchConfig config = LaunchConfig::linear(256, 32);
-    config.cancel = &token;
+    const std::vector<const vm::CancelToken*> tokens = {&token};
+    exec::BatchCancelScope scope(&tokens);
 
-    const auto result = exec::launch(program, args, config);
+    const auto result =
+        exec::launch(program, args, LaunchConfig::linear(256, 32));
     EXPECT_TRUE(result.cancelled);
     EXPECT_EQ(result.cancel_reason, vm::CancelReason::Deadline);
     EXPECT_FALSE(result.trapped);
@@ -320,9 +321,9 @@ TEST_F(CancelTest, FirstCancelReasonWins)
 TEST_F(CancelTest, MidLaunchCancelStopsWithinOneGroupRound)
 {
     // One group wedges on the armed vm.hang site (it spins polling its
-    // cancel token); the ambient CancelScope token fires from another
-    // thread and must bring the launch home cancelled — the hung
-    // interpreter is exactly what cooperative cancellation exists for.
+    // cancel token); the ambient scope's token fires from another thread
+    // and must bring the launch home cancelled — the hung interpreter is
+    // exactly what cooperative cancellation exists for.
     auto program = counting_program();
     Buffer out = Buffer::zeros_i32(4096);
     ArgPack args;
@@ -340,7 +341,8 @@ TEST_F(CancelTest, MidLaunchCancelStopsWithinOneGroupRound)
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
         token.cancel(vm::CancelReason::Watchdog);
     });
-    exec::CancelScope scope(&token);
+    const std::vector<const vm::CancelToken*> tokens = {&token};
+    exec::BatchCancelScope scope(&tokens);
     const auto result =
         exec::launch(program, args, LaunchConfig::linear(4096, 32));
     canceller.join();
@@ -355,47 +357,22 @@ TEST_F(CancelTest, MidLaunchCancelStopsWithinOneGroupRound)
     EXPECT_LT(result.groups_completed, result.groups_total);
 }
 
-TEST_F(CancelTest, ExplicitConfigTokenWinsOverAmbientScope)
-{
-    // An armed ambient token must not leak into a launch that carries
-    // its own: exact-fallback and shadow launches pass a fresh token (or
-    // run outside any scope) precisely so a cancelled request cannot
-    // cancel its own recovery path.
-    auto program = counting_program();
-    Buffer out = Buffer::zeros_i32(256);
-    ArgPack args;
-    args.buffer("out", out);
-
-    vm::CancelToken doomed;
-    doomed.cancel(vm::CancelReason::Deadline);
-    vm::CancelToken fresh;
-    exec::CancelScope scope(&doomed);
-    ASSERT_EQ(exec::current_cancel_token(), &doomed);
-
-    LaunchConfig config = LaunchConfig::linear(256, 32);
-    config.cancel = &fresh;
-    const auto result = exec::launch(program, args, config);
-    EXPECT_FALSE(result.cancelled);
-    EXPECT_EQ(result.groups_completed, result.groups_total);
-    for (int i = 0; i < 256; ++i)
-        ASSERT_EQ(out.get_int(i), 1225 + i);
-}
-
 TEST_F(CancelTest, ScopesRestoreOnExit)
 {
     vm::CancelToken outer_token;
-    EXPECT_EQ(exec::current_cancel_token(), nullptr);
+    vm::CancelToken inner_token;
+    const std::vector<const vm::CancelToken*> outer_tokens = {&outer_token};
+    const std::vector<const vm::CancelToken*> inner_tokens = {&inner_token};
+    EXPECT_EQ(exec::current_batch_cancel_tokens(), nullptr);
     {
-        exec::CancelScope outer(&outer_token);
-        EXPECT_EQ(exec::current_cancel_token(), &outer_token);
-        vm::CancelToken inner_token;
+        exec::BatchCancelScope outer(&outer_tokens);
+        EXPECT_EQ(exec::current_batch_cancel_tokens(), &outer_tokens);
         {
-            exec::CancelScope inner(&inner_token);
-            EXPECT_EQ(exec::current_cancel_token(), &inner_token);
+            exec::BatchCancelScope inner(&inner_tokens);
+            EXPECT_EQ(exec::current_batch_cancel_tokens(), &inner_tokens);
         }
-        EXPECT_EQ(exec::current_cancel_token(), &outer_token);
+        EXPECT_EQ(exec::current_batch_cancel_tokens(), &outer_tokens);
     }
-    EXPECT_EQ(exec::current_cancel_token(), nullptr);
     EXPECT_EQ(exec::current_batch_cancel_tokens(), nullptr);
 }
 

@@ -387,9 +387,10 @@ TEST(PipelineStoreTest, WarmStartSkipsJointSearch)
     EXPECT_EQ(warm.configs().size(), cold.configs().size());
 
     // The restored selection serves identical outputs.
-    const auto from_cold = cold_result.tuner->run_selected(kSeedA);
-    const auto from_warm = warm_result.tuner->run_selected(kSeedA);
-    EXPECT_EQ(from_cold.output, from_warm.output);
+    const auto from_cold = cold_result.tuner->serve_batch({kSeedA});
+    const auto from_warm = warm_result.tuner->serve_batch({kSeedA});
+    EXPECT_EQ(from_cold.runs.at(0).run.output,
+              from_warm.runs.at(0).run.output);
 
     store::ArtifactStore::disable_global();
     vm::ProgramCache::global().clear();
@@ -462,6 +463,39 @@ TEST(PipelineServeTest, SecondRegistrationIsWarm)
     EXPECT_EQ(register_once("edges"), 1u);
     EXPECT_EQ(joint_search_measurements(), probes_before)
         << "warm registration must not probe the joint space";
+
+    store::ArtifactStore::disable_global();
+    vm::ProgramCache::global().clear();
+}
+
+TEST(PipelineServeTest, WarmRegistrationAlignsSessionConfigs)
+{
+    // Regression: the service's warm branch restored the tuner but never
+    // filled session.configs(), so a caller mapping the served variant
+    // index back to per-stage members read an empty list after a warm
+    // restart, while the cold branch filled it.
+    store::ArtifactStore::configure_global(fresh_dir("serve-warm-configs"));
+    vm::ProgramCache::global().clear();
+
+    {
+        serve::ApproxService cold(serve::ServiceConfig{});
+        PipelineSession session = make_image_session();
+        cold.register_pipeline("edges", session, Metric::L1Norm, 90.0,
+                               {kSeedA, kSeedB});
+        EXPECT_EQ(cold.metrics().warm_pipelines.load(), 0u);
+        cold.stop();
+    }
+
+    vm::ProgramCache::global().clear();
+    serve::ApproxService warm(serve::ServiceConfig{});
+    PipelineSession session = make_image_session();
+    warm.register_pipeline("edges", session, Metric::L1Norm, 90.0,
+                           {kSeedA, kSeedB});
+    EXPECT_EQ(warm.metrics().warm_pipelines.load(), 1u);
+    ASSERT_FALSE(session.configs().empty());
+    EXPECT_EQ(session.configs().size(),
+              warm.kernel_snapshot("edges").breakers.size());
+    warm.stop();
 
     store::ArtifactStore::disable_global();
     vm::ProgramCache::global().clear();

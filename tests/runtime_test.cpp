@@ -7,9 +7,11 @@
 #include <limits>
 #include <thread>
 
+#include "exec/launch.h"
 #include "runtime/quality.h"
 #include "runtime/tuner.h"
 #include "support/error.h"
+#include "vm/vm.h"
 
 namespace paraprox::runtime {
 namespace {
@@ -296,10 +298,10 @@ TEST(TunerTest, RunSelectedSkipsAuditsButCountsInvocations)
                 /*check_interval=*/1);
     tuner.calibrate({1, 2});
 
-    // Degraded inputs, but run_selected never audits: no violations, no
-    // backoff — quality accounting belongs to the serving layer.
+    // Degraded inputs, but the serving path never audits: no violations,
+    // no backoff — quality accounting belongs to the serving layer.
     for (std::uint64_t seed = 100; seed < 120; ++seed)
-        tuner.run_selected(seed);
+        tuner.serve_batch({seed});
     EXPECT_EQ(tuner.selected_label(), "shifty");
     EXPECT_EQ(tuner.stats().invocations, 20u);
     EXPECT_EQ(tuner.stats().quality_checks, 0u);
@@ -321,8 +323,10 @@ TEST(TunerTest, RunSelectedTrapStillDemotes)
     Tuner tuner(std::move(variants), Metric::MeanRelativeError, 90.0);
     tuner.calibrate({1, 2});
 
-    const VariantRun served = tuner.run_selected(100);
-    EXPECT_FALSE(served.trapped);  // Served by the exact rerun.
+    const ServedRun served = tuner.serve_batch({100}).runs.at(0);
+    EXPECT_FALSE(served.run.trapped);  // Served by the exact rerun...
+    EXPECT_TRUE(served.trap_fallback);  // ...which the run names.
+    EXPECT_EQ(served.label, "exact");
     EXPECT_EQ(tuner.selected_label(), "exact");
     EXPECT_EQ(tuner.stats().backoffs, 1u);
 }
@@ -341,7 +345,7 @@ TEST(TunerTest, ConcurrentRunSelectedKeepsCountsConsistent)
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&tuner, t] {
             for (int i = 0; i < kPerThread; ++i)
-                tuner.run_selected(static_cast<std::uint64_t>(t * 1000 + i));
+                tuner.serve_batch({static_cast<std::uint64_t>(t * 1000 + i)});
         });
     }
     for (auto& thread : threads)
@@ -351,8 +355,8 @@ TEST(TunerTest, ConcurrentRunSelectedKeepsCountsConsistent)
     EXPECT_EQ(stats.invocations,
               static_cast<std::uint64_t>(kThreads * kPerThread));
     EXPECT_EQ(stats.backoffs, 0u);
-    EXPECT_EQ(tuner.selected_label_snapshot(), "good");
-    EXPECT_EQ(tuner.selected_index_snapshot(), 1);
+    EXPECT_EQ(tuner.selected_label(), "good");
+    EXPECT_EQ(tuner.selected_index(), 1);
 }
 
 TEST(TunerTest, TrappedAtRuntimeBacksOffPermanently)
@@ -428,8 +432,8 @@ TEST(TunerTest, SelectedLabelLockedAgainstConcurrentBackoff)
 {
     // TSan regression: selected_label()/selected_index() used to read
     // selected_ without the tuner lock, racing with the serving path's
-    // drop_selected_and_advance().  Here readers poll the selection while
-    // trap-driven backoffs rewrite it.
+    // reselection.  Here readers poll the selection while trap-driven
+    // backoffs rewrite it.
     Variant unstable{"unstable", 1, [](std::uint64_t seed) {
                          VariantRun run;
                          run.output = {static_cast<float>(seed % 7),
@@ -455,7 +459,7 @@ TEST(TunerTest, SelectedLabelLockedAgainstConcurrentBackoff)
     });
     std::thread server([&] {
         for (std::uint64_t seed = 100; seed < 400; ++seed)
-            tuner.run_selected(seed);
+            tuner.serve_batch({seed});
     });
     server.join();
     stop.store(true, std::memory_order_relaxed);
@@ -481,7 +485,8 @@ TEST(TunerTest, ServeBatchMatchesServePerMember)
         const ServedRun& served = batch.runs[i];
         EXPECT_EQ(served.label, "good");
         EXPECT_FALSE(served.trap_fallback);
-        // Per-member outputs in seed order, as serve() would produce.
+        // Per-member outputs in seed order, as serving each seed alone
+        // would produce.
         ASSERT_EQ(served.run.output.size(), 2u);
         EXPECT_FLOAT_EQ(served.run.output[0],
                         static_cast<float>(4 + i) + 0.1f);
@@ -493,9 +498,14 @@ TEST(TunerTest, ServeBatchMatchesServePerMember)
 TEST(TunerTest, ServeBatchUsesCoalescedClosureInFastMode)
 {
     auto batch_calls = std::make_shared<std::atomic<int>>(0);
+    auto fast_calls = std::make_shared<std::atomic<int>>(0);
     std::vector<Variant> variants;
     variants.push_back(fake_variant("exact", 0, 0.0f, 1000.0));
     Variant good = fake_variant("good", 1, 0.1f, 500.0);
+    good.run_fast = [fast_calls, run = good.run](std::uint64_t seed) {
+        fast_calls->fetch_add(1);
+        return run(seed);
+    };
     good.run_batch = [batch_calls,
                       run = good.run](const std::vector<std::uint64_t>&
                                           seeds) {
@@ -512,12 +522,54 @@ TEST(TunerTest, ServeBatchUsesCoalescedClosureInFastMode)
     // Instrumented serving ignores the closure (it is Fast-only)...
     tuner.serve_batch({7, 8});
     EXPECT_EQ(batch_calls->load(), 0);
-    // ...Fast serving coalesces the whole batch into one closure call.
+    // ...Fast serving coalesces the whole batch into one closure call...
     tuner.set_serving_mode(vm::ExecMode::Fast);
     const BatchServed batch = tuner.serve_batch({7, 8, 9, 10});
     EXPECT_EQ(batch_calls->load(), 1);
     ASSERT_EQ(batch.runs.size(), 4u);
     EXPECT_FLOAT_EQ(batch.runs[3].run.output[0], 10.0f + 0.1f);
+    // ...but a batch of one has nothing to coalesce and stays on the
+    // per-seed path (run_fast when the variant has one).
+    EXPECT_EQ(fast_calls->load(), 0);
+    const BatchServed single = tuner.serve_batch({11});
+    EXPECT_EQ(batch_calls->load(), 1);
+    EXPECT_EQ(fast_calls->load(), 1);
+    ASSERT_EQ(single.runs.size(), 1u);
+    EXPECT_FLOAT_EQ(single.runs[0].run.output[0], 11.0f + 0.1f);
+}
+
+TEST(TunerTest, SequentialBatchMembersRunUnderTheirOwnCancelToken)
+{
+    // Without a run_batch closure a batch runs one launch per seed.  Each
+    // launch must see its own member's token: the caller's scope is sized
+    // for the whole batch, and a one-member launch disarms a scope whose
+    // size does not match, which left every member uncancellable.
+    auto seen = std::make_shared<std::vector<const vm::CancelToken*>>();
+    std::vector<Variant> variants;
+    variants.push_back(fake_variant("exact", 0, 0.0f, 1000.0));
+    Variant good = fake_variant("good", 1, 0.1f, 500.0);
+    good.run = [seen, run = good.run](std::uint64_t seed) {
+        const auto* tokens = exec::current_batch_cancel_tokens();
+        seen->push_back(tokens && tokens->size() == 1 ? tokens->front()
+                                                      : nullptr);
+        return run(seed);
+    };
+    variants.push_back(std::move(good));
+    Tuner tuner(std::move(variants), Metric::MeanRelativeError, 90.0);
+    tuner.calibrate({1, 2, 3}, /*parallel=*/false);
+    ASSERT_EQ(tuner.selected_label(), "good");
+    seen->clear();
+
+    vm::CancelToken first;
+    vm::CancelToken second;
+    const std::vector<const vm::CancelToken*> tokens = {&first, &second};
+    {
+        exec::BatchCancelScope scope(&tokens);
+        tuner.serve_batch({4, 5});
+    }
+    ASSERT_EQ(seen->size(), 2u);
+    EXPECT_EQ((*seen)[0], &first);
+    EXPECT_EQ((*seen)[1], &second);
 }
 
 TEST(TunerTest, ServeBatchReservesTrappedMembersExactOnly)

@@ -712,9 +712,10 @@ TEST(ApproxServiceTest, ConcurrentMixedKernels)
 
 TEST(ApproxServiceTest, ExactSelectionDoesNotConsumeMonitorWindow)
 {
-    // Regression: serve_one used to call monitor.admit() before checking
-    // the selection, burning the monitor's sampling slots on requests
-    // that can never be audited (exact shadowed by exact says nothing).
+    // Regression: the serving path used to call monitor.admit() before
+    // checking the selection, burning the monitor's sampling slots on
+    // requests that can never be audited (exact shadowed by exact says
+    // nothing).
     ApproxService service(small_service(2, 64));
     std::vector<Variant> variants;
     variants.push_back(fake_variant("exact", 0, 0.0f, 1000.0));

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "device/memory_model.h"
 #include "parser/parser.h"
 #include "runtime/session.h"
@@ -89,18 +91,19 @@ TEST(SessionTest, TableAutoBindingMatchesHandWiredLaunch)
     KernelSession session(module, "apply", test_options());
     const auto plan = test_plan();
 
-    // A memoized member: its lookup table must reach the ArgPack.
-    const SessionMember* memoized = nullptr;
-    for (const auto& member : session.members()) {
-        if (!member.tables.empty()) {
-            memoized = &member;
-            break;
-        }
-    }
-    ASSERT_NE(memoized, nullptr);
+    // A memoized member: its lookup table must reach the ArgPack.  The
+    // session's variants are index-aligned with its members.
+    const auto& members = session.members();
+    const auto it = std::find_if(
+        members.begin(), members.end(),
+        [](const SessionMember& member) { return !member.tables.empty(); });
+    ASSERT_NE(it, members.end());
+    const SessionMember* memoized = &*it;
+    const Variant variant = session.variants(plan)[it - members.begin()];
+    ASSERT_EQ(variant.label, memoized->label);
 
     const std::uint64_t seed = 42;
-    const VariantRun via_session = session.run_member(*memoized, plan, seed);
+    const VariantRun via_session = variant.run(seed);
     EXPECT_FALSE(via_session.trapped);
 
     // Hand-wire the identical launch: bind inputs and tables explicitly,
@@ -126,24 +129,20 @@ TEST(SessionTest, MemberBatchMatchesPerSeedRuns)
     KernelSession session(module, "apply", test_options());
     const auto plan = test_plan();
 
-    // Batch a memoized member (tables bound once for the whole batch)
-    // and compare member-for-member against solo fast runs.
-    const SessionMember* memoized = nullptr;
-    for (const auto& member : session.members()) {
-        if (!member.tables.empty()) {
-            memoized = &member;
-            break;
-        }
-    }
-    ASSERT_NE(memoized, nullptr);
+    // Batch a memoized member's variant (tables bound once for the whole
+    // batch) and compare member-for-member against solo fast runs.
+    const auto& members = session.members();
+    const auto it = std::find_if(
+        members.begin(), members.end(),
+        [](const SessionMember& member) { return !member.tables.empty(); });
+    ASSERT_NE(it, members.end());
+    const Variant variant = session.variants(plan)[it - members.begin()];
 
     const std::vector<std::uint64_t> seeds = {11, 22, 33, 44};
-    const std::vector<VariantRun> batched =
-        session.run_member_batch(*memoized, plan, seeds);
+    const std::vector<VariantRun> batched = variant.run_batch(seeds);
     ASSERT_EQ(batched.size(), seeds.size());
     for (std::size_t i = 0; i < seeds.size(); ++i) {
-        const VariantRun solo = session.run_member(
-            *memoized, plan, seeds[i], vm::ExecMode::Fast);
+        const VariantRun solo = variant.run_fast(seeds[i]);
         EXPECT_FALSE(batched[i].trapped);
         ASSERT_EQ(batched[i].output.size(),
                   static_cast<std::size_t>(kN));

@@ -542,6 +542,18 @@ session_plan()
     return plan;
 }
 
+/// runtime::warm_tuner over @p session's variants, keyed by its
+/// calibration key.
+runtime::WarmTuner
+session_warm_tuner(const runtime::KernelSession& session,
+                   const std::vector<std::uint64_t>& seeds)
+{
+    constexpr auto metric = runtime::Metric::MeanRelativeError;
+    return runtime::warm_tuner(session.variants(session_plan()), metric,
+                               session.options().toq, seeds,
+                               session.calibration_key(metric));
+}
+
 TEST(StoreWarmStartTest, WarmSessionSkipsSearchAndMatchesColdSelection)
 {
     const auto store =
@@ -554,8 +566,7 @@ TEST(StoreWarmStartTest, WarmSessionSkipsSearchAndMatchesColdSelection)
     auto module = parser::parse_module(kSource);
     const std::uint64_t searches_before = memo::table_search_invocations();
     runtime::KernelSession cold(module, "apply", session_options());
-    const auto cold_tuner = cold.warm_tuner(
-        session_plan(), runtime::Metric::MeanRelativeError, seeds);
+    const auto cold_tuner = session_warm_tuner(cold, seeds);
     EXPECT_FALSE(cold_tuner.warm);
     EXPECT_GT(memo::table_search_invocations(), searches_before);
     EXPECT_GT(store->stats().writes, 0u);
@@ -567,8 +578,7 @@ TEST(StoreWarmStartTest, WarmSessionSkipsSearchAndMatchesColdSelection)
     const auto cache_before = vm::ProgramCache::global().stats();
     const std::uint64_t searches_cold = memo::table_search_invocations();
     runtime::KernelSession warm(module, "apply", session_options());
-    const auto warm_tuner = warm.warm_tuner(
-        session_plan(), runtime::Metric::MeanRelativeError, seeds);
+    const auto warm_tuner = session_warm_tuner(warm, seeds);
     EXPECT_TRUE(warm_tuner.warm);
     EXPECT_EQ(memo::table_search_invocations(), searches_cold);
     EXPECT_EQ(warm_tuner.tuner->selected_label(),
@@ -581,11 +591,12 @@ TEST(StoreWarmStartTest, WarmSessionSkipsSearchAndMatchesColdSelection)
 
     // Identical members and outputs either way.
     ASSERT_EQ(warm.members().size(), cold.members().size());
-    const auto plan = session_plan();
+    const auto cold_variants = cold.variants(session_plan());
+    const auto warm_variants = warm.variants(session_plan());
     for (std::size_t m = 0; m < warm.members().size(); ++m) {
         EXPECT_EQ(warm.members()[m].label, cold.members()[m].label);
-        const auto a = cold.run_member(cold.members()[m], plan, 99);
-        const auto b = warm.run_member(warm.members()[m], plan, 99);
+        const auto a = cold_variants[m].run(99);
+        const auto b = warm_variants[m].run(99);
         EXPECT_EQ(a.output, b.output);
     }
 
@@ -618,8 +629,7 @@ TEST(StoreWarmStartTest, StaleCalibrationIsRejectedNotInstalled)
     stale.selected = 1;
     ASSERT_TRUE(store->save_calibration(key, stale));
 
-    const auto tuner = session.warm_tuner(
-        session_plan(), runtime::Metric::MeanRelativeError, {1, 2});
+    const auto tuner = session_warm_tuner(session, {1, 2});
     EXPECT_FALSE(tuner.warm);  // Fell back to a live calibration.
     EXPECT_GE(tuner.tuner->profiles().size(), 2u);
 
