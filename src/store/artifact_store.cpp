@@ -1,6 +1,7 @@
 #include "store/artifact_store.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <mutex>
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include "support/faultinject.h"
@@ -764,6 +766,37 @@ ArtifactStore::save_fleet_calibration(
         return false;  // Reserved: "nothing published yet".
     return save_payload(key, ArtifactKind::FleetCalibration,
                         encode_fleet_calibration(key, artifact));
+}
+
+ArtifactStore::FleetPublishResult
+ArtifactStore::publish_fleet_calibration(const StoreKey& key,
+                                         std::uint64_t base,
+                                         FleetCalibrationArtifact artifact) const
+{
+    // The lease serializes publishers only while it is live: a sweep
+    // that outlived its lease finishes alongside the peer that stole
+    // it, and both would read the same version and write the same
+    // successor.  flock() conflicts between separate open()s even in
+    // one process; a filesystem without it degrades to the unlocked
+    // check.
+    const std::string lock_path =
+        path_for(key, ArtifactKind::FleetCalibration).string() + ".lock";
+    const int fd =
+        ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+    while (fd >= 0 && ::flock(fd, LOCK_EX) != 0 && errno == EINTR) {
+    }
+    FleetPublishResult result;
+    result.version = fleet_calibration_version(key);
+    if (result.version <= base) {
+        artifact.version = result.version + 1;
+        if (save_fleet_calibration(key, artifact)) {
+            result.published = true;
+            result.version = artifact.version;
+        }
+    }
+    if (fd >= 0)
+        ::close(fd);  // Drops the lock.
+    return result;
 }
 
 std::uint64_t

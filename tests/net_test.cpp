@@ -386,6 +386,48 @@ TEST_F(LeaseTest, FleetCalibrationVersioning)
     EXPECT_EQ(store.fleet_calibration_version(other), 0u);
 }
 
+TEST_F(LeaseTest, PublishersFromOneBaseElectOneWinner)
+{
+    // Sweeps that all started from version 0 — a lease winner and the
+    // zombies whose leases expired under them — finish at once, each
+    // through its own store handle: exactly one may write version 1.
+    TempDir dir("publish");
+    const auto key = fleet_key();
+    store::FleetCalibrationArtifact artifact;
+    artifact.calibration = calibrated_state();
+    artifact.toq = 90.0;
+    artifact.metric = runtime::to_string(Metric::MeanRelativeError);
+
+    constexpr int kPublishers = 8;
+    std::atomic<bool> go{false};
+    std::atomic<int> published{0};
+    std::atomic<int> saw_other_version{0};
+    std::vector<std::thread> publishers;
+    for (int i = 0; i < kPublishers; ++i) {
+        publishers.emplace_back([&] {
+            store::ArtifactStore store(dir.path);
+            while (!go.load())
+                std::this_thread::yield();
+            const auto result =
+                store.publish_fleet_calibration(key, 0, artifact);
+            (result.published ? published : saw_other_version)
+                .fetch_add(1);
+            EXPECT_EQ(result.version, 1u);
+        });
+    }
+    go.store(true);
+    for (auto& publisher : publishers)
+        publisher.join();
+
+    EXPECT_EQ(published.load(), 1);
+    EXPECT_EQ(saw_other_version.load(), kPublishers - 1);
+    store::ArtifactStore store(dir.path);
+    EXPECT_EQ(store.fleet_calibration_version(key), 1u);
+    // The next drift event publishes on top, from the version it saw.
+    EXPECT_TRUE(store.publish_fleet_calibration(key, 1, artifact).published);
+    EXPECT_EQ(store.fleet_calibration_version(key), 2u);
+}
+
 // ---- FrontDoor -------------------------------------------------------------
 
 struct InProcessReplica {
@@ -664,8 +706,11 @@ TEST_F(PlaneTest, LostLeasePublishIsRedundantNotClobbering)
     slow.watch_interval = std::chrono::milliseconds(10);
     slow.lease_ttl = std::chrono::milliseconds(30);
     // Alpha's re-profiling sweep (sleeping variant) far outlives its
-    // lease: the fleet is entitled to treat it as dead.
-    PlaneHarness alpha(dir.path, "alpha", slow, /*approx_sleep_ms=*/40);
+    // lease: the fleet is entitled to treat it as dead.  The sweep must
+    // also outlast the 35 ms wait below by a wide margin — if a loaded
+    // box lets alpha publish before beta's gate runs, beta's raise is a
+    // new drift event and nothing is redundant.
+    PlaneHarness alpha(dir.path, "alpha", slow, /*approx_sleep_ms=*/250);
     PlaneConfig fast;
     fast.watch_interval = std::chrono::milliseconds(10);
     PlaneHarness beta(dir.path, "beta", fast);

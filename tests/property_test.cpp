@@ -69,6 +69,13 @@ struct MonotoneCase {
     float hi;
 };
 
+// gtest would otherwise print the case as raw bytes, string pointers
+// included, so the listed test names would change from run to run.
+void PrintTo(const MonotoneCase& param, std::ostream* os)
+{
+    *os << param.name;
+}
+
 class MemoMonotoneTest : public ::testing::TestWithParam<MonotoneCase> {};
 
 TEST_P(MemoMonotoneTest, QualityGrowsWithBits)
