@@ -21,10 +21,6 @@ CalibrationPlane::track(const std::string& kernel, store::StoreKey key)
     std::lock_guard<std::mutex> lock(mutex_);
     Entry entry;
     entry.key = std::move(key);
-    // Publishes that predate this replica's registration are old news —
-    // its registration-time calibration is at least as fresh.  Only a
-    // version bump after this point is a drift event to adopt.
-    entry.seen_version = store_->fleet_calibration_version(entry.key);
     tracked_[kernel] = std::move(entry);
 }
 
@@ -137,14 +133,14 @@ CalibrationPlane::publish(const std::string& kernel,
     const auto result = store_->publish_fleet_calibration(
         entry.key, entry.publish_base, std::move(artifact));
     if (result.published) {
-        ++stats_.published;
+        ++stats_.published_calibrations;
         entry.seen_version = result.version;
     } else if (result.version > entry.publish_base) {
         // The fleet moved underneath us: our lease expired mid-sweep and
         // a peer (takeover) finished the event first.  Our sweep was
         // redundant — adopt the fleet's record rather than clobbering a
         // version peers may have already adopted.
-        ++stats_.redundant;
+        ++stats_.redundant_recalibrations;
         const auto fleet = store_->load_fleet_calibration(entry.key);
         if (fleet &&
             service_.adopt_calibration(kernel, fleet->calibration,

@@ -21,6 +21,12 @@
 /// lease to a slow sweep, its publish detects the version moved
 /// underneath, counts a redundant recalibration, and adopts the peer's
 /// record instead of clobbering it.
+///
+/// A replica that joins after a publish (a warm restart restores the
+/// calibration it saved before the drift) adopts the fleet's current
+/// record on its first watch poll, so it serves the same selection and
+/// quarantine verdicts as its peers.  PARAPROX_PLANE_COUNTERS lists the
+/// plane's counters; net::ReplicaStats carries them to the front door.
 
 #pragma once
 
@@ -36,6 +42,7 @@
 
 #include "serve/service.h"
 #include "store/artifact_store.h"
+#include "support/counters.h"
 
 namespace paraprox::net {
 
@@ -53,17 +60,23 @@ struct PlaneConfig {
     std::chrono::milliseconds adoption_timeout{3000};
 };
 
+/// The plane's counters, one X(type, name) row each (see
+/// support/counters.h).  The table generates PlaneStats and the plane
+/// half of net::ReplicaStats.
+#define PARAPROX_PLANE_COUNTERS(X)                                            \
+    X(std::uint64_t, lease_wins)                                              \
+    X(std::uint64_t, lease_losses)                                            \
+    X(std::uint64_t, published_calibrations)                                  \
+    /* Locally completed recalibrations that lost the publish race (our */    \
+    /* lease expired and a peer finished first); the peer's record was */     \
+    /* adopted instead.  Zero in a healthy fleet. */                          \
+    X(std::uint64_t, redundant_recalibrations)                                \
+    X(std::uint64_t, watch_polls)                                             \
+    /* Drift events re-driven after the lease winner went silent. */          \
+    X(std::uint64_t, takeovers)
+
 struct PlaneStats {
-    std::uint64_t lease_wins = 0;
-    std::uint64_t lease_losses = 0;
-    std::uint64_t published = 0;
-    /// Locally completed recalibrations that lost the publish race (our
-    /// lease expired and a peer finished first); the peer's record was
-    /// adopted instead.  Zero in a healthy fleet.
-    std::uint64_t redundant = 0;
-    std::uint64_t watch_polls = 0;
-    /// Drift events re-driven after the lease winner went silent.
-    std::uint64_t takeovers = 0;
+    PARAPROX_PLANE_COUNTERS(PARAPROX_COUNTER_FIELD)
 };
 
 class CalibrationPlane {
@@ -98,8 +111,9 @@ class CalibrationPlane {
   private:
     struct Entry {
         store::StoreKey key;
-        /// Latest fleet version this replica has seen (adopted,
-        /// published, or pre-existing at track time).
+        /// Latest fleet version this replica has adopted or published.
+        /// Starts at 0, so a record published before track() is adopted
+        /// on the first watch poll.
         std::uint64_t seen_version = 0;
         /// Nonzero while this replica holds the drift lease.
         std::uint64_t lease_token = 0;

@@ -255,20 +255,9 @@ ReplicaStats::encode() const
 {
     ByteWriter w;
     w.str(replica);
-    w.u64(accepted);
-    w.u64(served);
-    w.u64(deadline_expired);
-    w.u64(recalibrations);
-    w.u64(suppressed_recalibrations);
-    w.u64(adopted_calibrations);
-    w.u64(adoption_rejects);
-    w.u64(exact_while_recalibrating);
-    w.u64(lease_wins);
-    w.u64(lease_losses);
-    w.u64(published_calibrations);
-    w.u64(redundant_recalibrations);
-    w.u64(watch_polls);
-    w.u64(takeovers);
+#define PARAPROX_ENCODE(type, name) w.u64(static_cast<std::uint64_t>(name));
+    PARAPROX_REPLICA_STATS(PARAPROX_ENCODE)
+#undef PARAPROX_ENCODE
     return w.bytes();
 }
 
@@ -278,20 +267,9 @@ ReplicaStats::decode(const std::vector<std::uint8_t>& payload)
     ByteReader r(payload.data(), payload.size());
     ReplicaStats out;
     out.replica = r.str();
-    out.accepted = r.u64();
-    out.served = r.u64();
-    out.deadline_expired = r.u64();
-    out.recalibrations = r.u64();
-    out.suppressed_recalibrations = r.u64();
-    out.adopted_calibrations = r.u64();
-    out.adoption_rejects = r.u64();
-    out.exact_while_recalibrating = r.u64();
-    out.lease_wins = r.u64();
-    out.lease_losses = r.u64();
-    out.published_calibrations = r.u64();
-    out.redundant_recalibrations = r.u64();
-    out.watch_polls = r.u64();
-    out.takeovers = r.u64();
+#define PARAPROX_DECODE(type, name) out.name = static_cast<type>(r.u64());
+    PARAPROX_REPLICA_STATS(PARAPROX_DECODE)
+#undef PARAPROX_DECODE
     if (!r.at_end())
         return std::nullopt;
     return out;

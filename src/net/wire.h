@@ -10,6 +10,8 @@
 /// Message inventory (request/reply pairs share a payload shape level):
 ///   SubmitRequest / SubmitReply    one serving request through the fleet
 ///   StatsRequest  / StatsReply     replica + calibration-plane counters
+///                                  (ReplicaStats, generated from the
+///                                  counter tables)
 ///   DriftRequest  / DriftReply     operator-driven drift event (the
 ///                                  gated recalibration path)
 ///   ShutdownRequest / ShutdownReply  graceful replica stop
@@ -31,6 +33,9 @@
 #include <string_view>
 #include <vector>
 
+#include "net/calibration_plane.h"
+#include "serve/metrics.h"
+#include "support/counters.h"
 #include "support/socket.h"
 
 namespace paraprox::net {
@@ -156,25 +161,19 @@ struct Pong {
     decode(const std::vector<std::uint8_t>& payload);
 };
 
-/// StatsReply payload: the counters the scale-out bench and tests
-/// assert on, merged from the replica's ApproxService metrics and its
-/// CalibrationPlane.
+/// The counters a StatsReply carries: every row of the replica's
+/// serve::Metrics table, then every row of its CalibrationPlane table.
+#define PARAPROX_REPLICA_STATS(X)                                             \
+    PARAPROX_SERVE_COUNTERS(X)                                                \
+    PARAPROX_PLANE_COUNTERS(X)
+
+/// StatsReply payload: the replica id, then PARAPROX_REPLICA_STATS in
+/// table order (plane counters read 0 on a replica without a plane).
+/// The layout follows the tables, so the front door and its replicas
+/// must come from one build.
 struct ReplicaStats {
     std::string replica;
-    std::uint64_t accepted = 0;
-    std::uint64_t served = 0;
-    std::uint64_t deadline_expired = 0;
-    std::uint64_t recalibrations = 0;
-    std::uint64_t suppressed_recalibrations = 0;
-    std::uint64_t adopted_calibrations = 0;
-    std::uint64_t adoption_rejects = 0;
-    std::uint64_t exact_while_recalibrating = 0;
-    std::uint64_t lease_wins = 0;
-    std::uint64_t lease_losses = 0;
-    std::uint64_t published_calibrations = 0;
-    std::uint64_t redundant_recalibrations = 0;
-    std::uint64_t watch_polls = 0;
-    std::uint64_t takeovers = 0;
+    PARAPROX_REPLICA_STATS(PARAPROX_COUNTER_FIELD)
 
     std::vector<std::uint8_t> encode() const;
     static std::optional<ReplicaStats>

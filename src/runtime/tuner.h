@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "runtime/quality.h"
+#include "support/counters.h"
 #include "vm/bytecode.h"
 
 namespace paraprox::runtime {
@@ -84,16 +85,22 @@ struct VariantProfile {
     bool trapped = false;
 };
 
+/// The tuner counters a serving layer totals across kernels
+/// (ApproxService::snapshot() sums them into its MetricsSnapshot), one
+/// X(type, name) row each; see support/counters.h.
+#define PARAPROX_TUNER_TOTALS(X)                                              \
+    X(std::uint64_t, backoffs)       /* Variant downgrades performed. */      \
+    X(std::uint64_t, quarantines)    /* Circuit-breaker openings. */          \
+    X(std::uint64_t, reinstatements) /* Breakers closed after probing. */     \
+    X(std::uint64_t, probes)         /* Half-open probe executions. */
+
 /// Runtime statistics the tuner keeps.
 struct TunerStats {
     std::uint64_t invocations = 0;
     std::uint64_t quality_checks = 0;
     std::uint64_t violations = 0;  ///< TOQ misses observed at runtime.
-    std::uint64_t backoffs = 0;    ///< Variant downgrades performed.
     std::uint64_t recalibrations = 0;  ///< Full re-profiling passes.
-    std::uint64_t quarantines = 0;     ///< Circuit-breaker openings.
-    std::uint64_t reinstatements = 0;  ///< Breakers closed after probing.
-    std::uint64_t probes = 0;          ///< Half-open probe executions.
+    PARAPROX_TUNER_TOTALS(PARAPROX_COUNTER_FIELD)
 };
 
 /// Circuit-breaker policy for unhealthy variants.  The default —

@@ -14,6 +14,9 @@
 #include <cstdint>
 #include <string>
 
+#include "runtime/tuner.h"
+#include "support/counters.h"
+
 namespace paraprox::serve {
 
 /// Point-in-time view of the latency distribution, in seconds.
@@ -65,78 +68,84 @@ class BatchHistogram {
     std::atomic<std::uint64_t> max_size_{0};
 };
 
+/// Every counter and gauge of Metrics, one X(type, name) row each (see
+/// support/counters.h): std::uint64_t rows are monotonic counters,
+/// std::int64_t rows are gauges.  The table generates the Metrics
+/// atomics, the MetricsSnapshot fields, Metrics::snapshot(), the rows of
+/// format_metrics and net::ReplicaStats with its wire codec.
+#define PARAPROX_SERVE_COUNTERS(X)                                            \
+    X(std::uint64_t, accepted)                                                \
+    X(std::uint64_t, rejected_full)                                           \
+    X(std::uint64_t, rejected_unknown)                                        \
+    X(std::uint64_t, rejected_stopped)                                        \
+    /* Submits that lost the race with stop(): the stopped pre-check */       \
+    /* passed but the queue was already closed.  Surfaced to the client */    \
+    /* with the same "service stopped" reason as the pre-check path. */       \
+    X(std::uint64_t, rejected_closed_race)                                    \
+    /* Admissions refused because the request's deadline had already */       \
+    /* passed or could not be met behind the current backlog. */              \
+    X(std::uint64_t, rejected_deadline)                                       \
+    X(std::uint64_t, served)                                                  \
+    /* Accepted requests resolved with ServeStatus::DeadlineExceeded at */    \
+    /* the worker (expired while queued; not counted in `served`). */         \
+    X(std::uint64_t, deadline_expired)                                        \
+    /* Requests whose approximate run trapped and were re-served exact. */    \
+    X(std::uint64_t, trap_fallbacks)                                          \
+    /* Requests served below the calibrated selection by the */               \
+    /* load-shedding degradation ladder. */                                   \
+    X(std::uint64_t, degraded_serves)                                         \
+    /* Ladder movements: steps toward cheaper variants / back up. */          \
+    X(std::uint64_t, degrade_steps)                                           \
+    X(std::uint64_t, restore_steps)                                           \
+    /* Current service-wide degradation level (gauge; 0 = full quality). */   \
+    X(std::int64_t, degradation_level)                                        \
+    X(std::uint64_t, shadow_runs)                                             \
+    X(std::uint64_t, shadow_violations)                                       \
+    X(std::uint64_t, recalibrations)                                          \
+    X(std::uint64_t, exact_while_recalibrating)                               \
+    /* Drift events this replica ceded to the fleet's calibration plane */    \
+    /* (a peer held the drift lease or had already published); the */         \
+    /* kernel served exact until adoption instead of recalibrating. */        \
+    X(std::uint64_t, suppressed_recalibrations)                               \
+    /* Calibrations installed from a peer's publish via */                    \
+    /* adopt_calibration() (scale-out: recalibrate once, adopt */             \
+    /* everywhere). */                                                        \
+    X(std::uint64_t, adopted_calibrations)                                    \
+    /* adopt_calibration() calls whose payload failed restore */              \
+    /* validation (arity/label drift across module versions). */              \
+    X(std::uint64_t, adoption_rejects)                                        \
+    /* Kernels registered with a calibration restored from the artifact */    \
+    /* store (no profiling sweep at registration). */                         \
+    X(std::uint64_t, warm_registrations)                                      \
+    /* Pipelines registered with a joint calibration restored from the */     \
+    /* artifact store: zero joint-search probe runs, zero sweeps. */          \
+    X(std::uint64_t, warm_pipelines)                                          \
+    /* Data-tier kernels registered with a precision calibration */           \
+    /* restored from the artifact store: zero profiling runs, zero plan */    \
+    /* search. */                                                             \
+    X(std::uint64_t, warm_data_tiers)                                         \
+    /* Launches stopped mid-flight by a fired deadline token: the */          \
+    /* request resolved DeadlineExceeded without finishing its kernel. */     \
+    X(std::uint64_t, cancelled_launches)                                      \
+    /* Launches the hung-launch watchdog cancelled (wall ceiling */           \
+    /* exceeded); each charges the variant's breaker like a trap. */          \
+    X(std::uint64_t, watchdog_cancels)                                        \
+    /* Requests re-served by the exact kernel after a watchdog cancel. */     \
+    X(std::uint64_t, watchdog_fallbacks)                                      \
+    /* Work-groups completed across every serve launch (cancelled ones */     \
+    /* included: groups that finished before the token fired still */         \
+    /* burned CPU).  The cancellation bench reads the delta between a */      \
+    /* cancelling and a non-cancelling run as "wasted work saved". */         \
+    X(std::uint64_t, launch_groups_completed)                                 \
+    /* Requests queued and not yet popped by a worker (gauge). */             \
+    X(std::int64_t, queue_depth)
+
 /// Plain-struct copy of every counter, for printing and assertions.
 struct MetricsSnapshot {
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected_full = 0;
-    std::uint64_t rejected_unknown = 0;
-    std::uint64_t rejected_stopped = 0;
-    /// Submits that lost the race with stop(): the stopped pre-check
-    /// passed but the queue was already closed.  Surfaced to the client
-    /// with the same "service stopped" reason as the pre-check path.
-    std::uint64_t rejected_closed_race = 0;
-    /// Admissions refused because the request's deadline had already
-    /// passed or could not be met behind the current backlog.
-    std::uint64_t rejected_deadline = 0;
-    std::uint64_t served = 0;
-    /// Accepted requests resolved with ServeStatus::DeadlineExceeded at
-    /// the worker (expired while queued; not counted in `served`).
-    std::uint64_t deadline_expired = 0;
-    /// Requests whose approximate run trapped and were re-served exact.
-    std::uint64_t trap_fallbacks = 0;
-    /// Requests served below the calibrated selection by the
-    /// load-shedding degradation ladder.
-    std::uint64_t degraded_serves = 0;
-    /// Ladder movements: steps toward cheaper variants / back up.
-    std::uint64_t degrade_steps = 0;
-    std::uint64_t restore_steps = 0;
-    /// Current service-wide degradation level (gauge; 0 = full quality).
-    std::int64_t degradation_level = 0;
-    std::uint64_t shadow_runs = 0;
-    std::uint64_t shadow_violations = 0;
-    std::uint64_t recalibrations = 0;
-    std::uint64_t exact_while_recalibrating = 0;
-    /// Drift events this replica ceded to the fleet's calibration plane
-    /// (a peer held the drift lease or had already published); the
-    /// kernel served exact until adoption instead of recalibrating.
-    std::uint64_t suppressed_recalibrations = 0;
-    /// Calibrations installed from a peer's publish via
-    /// adopt_calibration() (scale-out: recalibrate once, adopt
-    /// everywhere).
-    std::uint64_t adopted_calibrations = 0;
-    /// adopt_calibration() calls whose payload failed restore
-    /// validation (arity/label drift across module versions).
-    std::uint64_t adoption_rejects = 0;
-    /// Kernels registered with a calibration restored from the artifact
-    /// store (no profiling sweep at registration).
-    std::uint64_t warm_registrations = 0;
-    /// Pipelines registered with a joint calibration restored from the
-    /// artifact store: zero joint-search probe runs, zero sweeps.
-    std::uint64_t warm_pipelines = 0;
-    /// Data-tier kernels registered with a precision calibration restored
-    /// from the artifact store: zero profiling runs, zero plan search.
-    std::uint64_t warm_data_tiers = 0;
-    /// Launches stopped mid-flight by a fired deadline token: the
-    /// request resolved DeadlineExceeded without finishing its kernel.
-    std::uint64_t cancelled_launches = 0;
-    /// Launches the hung-launch watchdog cancelled (wall ceiling
-    /// exceeded); each charges the variant's breaker like a trap.
-    std::uint64_t watchdog_cancels = 0;
-    /// Requests re-served by the exact kernel after a watchdog cancel.
-    std::uint64_t watchdog_fallbacks = 0;
-    /// Work-groups completed across every serve launch (cancelled ones
-    /// included: groups that finished before the token fired still
-    /// burned CPU).  The cancellation bench reads the delta between a
-    /// cancelling and a non-cancelling run as "wasted work saved".
-    std::uint64_t launch_groups_completed = 0;
-    /// Variant downgrades across all kernels.  Tuners own this count;
-    /// ApproxService::snapshot() aggregates it in — it stays 0 in a bare
-    /// Metrics::snapshot().  Same for the three breaker counters below.
-    std::uint64_t backoffs = 0;
-    std::uint64_t quarantines = 0;     ///< Breaker openings (aggregated).
-    std::uint64_t reinstatements = 0;  ///< Breakers closed (aggregated).
-    std::uint64_t probes = 0;          ///< Half-open probes (aggregated).
-    std::int64_t queue_depth = 0;
+    PARAPROX_SERVE_COUNTERS(PARAPROX_COUNTER_FIELD)
+    /// Tuner-owned totals across all kernels: ApproxService::snapshot()
+    /// aggregates them in; they stay 0 in a bare Metrics::snapshot().
+    PARAPROX_TUNER_TOTALS(PARAPROX_COUNTER_FIELD)
     /// Sojourn time (admission to resolution) per request.
     LatencySnapshot latency;
     /// Batch-size distribution of worker pops (gather-window coalescing).
@@ -147,41 +156,18 @@ struct MetricsSnapshot {
     LatencySnapshot batch_latency;
 };
 
-/// Human-readable multi-line report, used by tools and bench smoke runs.
+/// Human-readable multi-line report, used by tools and bench smoke runs:
+/// one row per counter in both tables, labelled with its field name,
+/// then the latency and batch histograms.
 std::string format_metrics(const MetricsSnapshot& snapshot);
 
 /// The registry the service, monitor, and tuner report through.  Fields
 /// are public atomics: the request path bumps them directly.
 class Metrics {
   public:
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> rejected_full{0};
-    std::atomic<std::uint64_t> rejected_unknown{0};
-    std::atomic<std::uint64_t> rejected_stopped{0};
-    std::atomic<std::uint64_t> rejected_closed_race{0};
-    std::atomic<std::uint64_t> rejected_deadline{0};
-    std::atomic<std::uint64_t> served{0};
-    std::atomic<std::uint64_t> deadline_expired{0};
-    std::atomic<std::uint64_t> trap_fallbacks{0};
-    std::atomic<std::uint64_t> degraded_serves{0};
-    std::atomic<std::uint64_t> degrade_steps{0};
-    std::atomic<std::uint64_t> restore_steps{0};
-    std::atomic<std::int64_t> degradation_level{0};
-    std::atomic<std::uint64_t> shadow_runs{0};
-    std::atomic<std::uint64_t> shadow_violations{0};
-    std::atomic<std::uint64_t> recalibrations{0};
-    std::atomic<std::uint64_t> exact_while_recalibrating{0};
-    std::atomic<std::uint64_t> suppressed_recalibrations{0};
-    std::atomic<std::uint64_t> adopted_calibrations{0};
-    std::atomic<std::uint64_t> adoption_rejects{0};
-    std::atomic<std::uint64_t> warm_registrations{0};
-    std::atomic<std::uint64_t> warm_pipelines{0};
-    std::atomic<std::uint64_t> warm_data_tiers{0};
-    std::atomic<std::uint64_t> cancelled_launches{0};
-    std::atomic<std::uint64_t> watchdog_cancels{0};
-    std::atomic<std::uint64_t> watchdog_fallbacks{0};
-    std::atomic<std::uint64_t> launch_groups_completed{0};
-    std::atomic<std::int64_t> queue_depth{0};
+#define PARAPROX_METRICS_ATOMIC(type, name) std::atomic<type> name{0};
+    PARAPROX_SERVE_COUNTERS(PARAPROX_METRICS_ATOMIC)
+#undef PARAPROX_METRICS_ATOMIC
     LatencyHistogram latency;
     BatchHistogram batch;
     LatencyHistogram batch_latency;

@@ -1,5 +1,5 @@
 /// @file
-/// Bounded MPMC queues with reject-on-full backpressure.
+/// Bounded MPMC queue with reject-on-full backpressure.
 ///
 /// The serving subsystem never blocks a producer: when the queue is at
 /// capacity, try_push fails immediately with a reason the caller can
@@ -9,10 +9,9 @@
 /// was admitted and then exit, which is what "stop without dropping
 /// queued requests" means.
 ///
-/// Two shapes live here: the original single-deque BoundedQueue, and the
-/// per-kernel ShardedQueue whose consumers pop whole same-shard batches
-/// (with a deadline-bounded gather window) so one launch can serve many
-/// coalesced requests.
+/// The queue is sharded per kernel, and its consumers pop whole
+/// same-shard batches (with a deadline-bounded gather window) so one
+/// launch can serve many coalesced requests.
 
 #pragma once
 
@@ -46,90 +45,6 @@ to_string(PushResult result)
     }
     return "<bad-push-result>";
 }
-
-/// Mutex-based bounded multi-producer multi-consumer queue.
-template <typename T>
-class BoundedQueue {
-  public:
-    explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {}
-
-    BoundedQueue(const BoundedQueue&) = delete;
-    BoundedQueue& operator=(const BoundedQueue&) = delete;
-
-    /// Non-blocking admission: enqueue @p item or say why not.  This is
-    /// the backpressure point — it never waits.
-    PushResult try_push(T item)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (closed_)
-                return PushResult::Closed;
-            if (items_.size() >= capacity_)
-                return PushResult::Full;
-            items_.push_back(
-                {std::move(item), std::chrono::steady_clock::now()});
-        }
-        ready_.notify_one();
-        return PushResult::Ok;
-    }
-
-    /// Blocking consumer side: waits until an item is available or the
-    /// queue is closed and drained.  Returns false only in the latter
-    /// case (the consumer should exit).
-    bool pop(T& out)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
-        if (items_.empty())
-            return false;
-        out = std::move(items_.front().item);
-        items_.pop_front();
-        return true;
-    }
-
-    /// How long the head-of-line item has been waiting, or nullopt when
-    /// the queue is empty.  A new admission waits at least this long
-    /// (FIFO), which is what deadline-aware admission needs to reject
-    /// requests that cannot possibly be served in time.
-    std::optional<std::chrono::steady_clock::duration> oldest_age() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (items_.empty())
-            return std::nullopt;
-        return std::chrono::steady_clock::now() - items_.front().at;
-    }
-
-    /// Refuse new admissions; already-queued items remain poppable.
-    void close()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            closed_ = true;
-        }
-        ready_.notify_all();
-    }
-
-    std::size_t size() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return items_.size();
-    }
-
-    std::size_t capacity() const { return capacity_; }
-
-  private:
-    /// Queued item plus its admission time, for oldest_age().
-    struct Entry {
-        T item;
-        std::chrono::steady_clock::time_point at;
-    };
-
-    const std::size_t capacity_;
-    mutable std::mutex mutex_;
-    std::condition_variable ready_;
-    std::deque<Entry> items_;
-    bool closed_ = false;
-};
 
 /// Per-kernel sharded MPMC queue with batch pop.
 ///

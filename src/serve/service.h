@@ -222,9 +222,8 @@ struct KernelSnapshot {
     std::size_t queue_depth = 0;
 };
 
-/// Whole-service observability; metrics.backoffs and the breaker
-/// counters (quarantines, reinstatements, probes) are aggregated from
-/// the per-kernel tuner stats here.
+/// Whole-service observability; the PARAPROX_TUNER_TOTALS counters in
+/// `metrics` are summed from the per-kernel tuner stats here.
 struct ServiceSnapshot {
     MetricsSnapshot metrics;
     std::vector<KernelSnapshot> kernels;

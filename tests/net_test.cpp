@@ -76,6 +76,7 @@ using PlaneTest = NetTest;
 using ChaosScaleoutTest = NetTest;
 using HealthTest = NetTest;
 using SupervisorTest = NetTest;
+using ReplicaTest = NetTest;
 
 /// Synthetic variant: seed-derived output at a fixed modeled cost.
 /// Non-exact variants visit the vm.trap fault site so chaos specs can
@@ -192,41 +193,67 @@ TEST_F(WireTest, SubmitReplyRoundtrip)
 
 TEST_F(WireTest, ReplicaStatsRoundtrip)
 {
+    // Every counter gets a distinct value, so two fields swapped in the
+    // codec cannot both round-trip.
     ReplicaStats stats;
     stats.replica = "beta";
-    stats.served = 7;
-    stats.recalibrations = 1;
-    stats.adopted_calibrations = 2;
-    stats.lease_wins = 3;
-    stats.takeovers = 4;
+    std::uint64_t next = 1;
+#define PARAPROX_SET(type, name) stats.name = static_cast<type>(next++);
+    PARAPROX_REPLICA_STATS(PARAPROX_SET)
+#undef PARAPROX_SET
 
     const auto decoded = ReplicaStats::decode(stats.encode());
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->replica, "beta");
-    EXPECT_EQ(decoded->served, 7u);
-    EXPECT_EQ(decoded->recalibrations, 1u);
-    EXPECT_EQ(decoded->adopted_calibrations, 2u);
-    EXPECT_EQ(decoded->lease_wins, 3u);
-    EXPECT_EQ(decoded->takeovers, 4u);
+#define PARAPROX_CHECK_FIELD(type, name)                                      \
+    EXPECT_EQ(decoded->name, stats.name) << #name;
+    PARAPROX_REPLICA_STATS(PARAPROX_CHECK_FIELD)
+#undef PARAPROX_CHECK_FIELD
+}
+
+/// Every strict prefix of @p message's encoding must decode to nullopt.
+template <typename Message>
+void
+expect_prefixes_rejected(const Message& message)
+{
+    const std::vector<std::uint8_t> good = message.encode();
+    ASSERT_TRUE(Message::decode(good).has_value());
+    for (std::size_t cut = 0; cut < good.size(); ++cut) {
+        const std::vector<std::uint8_t> prefix(good.begin(),
+                                               good.begin() + cut);
+        EXPECT_FALSE(Message::decode(prefix).has_value()) << "cut " << cut;
+    }
 }
 
 TEST_F(WireTest, DecodersRejectGarbage)
 {
     // Truncation at every prefix must reject, never crash or misparse.
-    const auto good = [] {
-        SubmitRequest request;
-        request.kernel = "k";
-        request.input = SubmitRequest::seed_input(1);
-        return request.encode();
-    }();
-    for (std::size_t cut = 0; cut < good.size(); ++cut) {
-        const std::vector<std::uint8_t> prefix(good.begin(),
-                                               good.begin() + cut);
-        EXPECT_FALSE(SubmitRequest::decode(prefix).has_value());
-    }
+    SubmitRequest request;
+    request.kernel = "k";
+    request.input = SubmitRequest::seed_input(1);
+    expect_prefixes_rejected(request);
+
+    SubmitReply reply;
+    reply.status = WireStatus::Ok;
+    reply.served_by = "good";
+    reply.replica = "alpha";
+    reply.output = {1.0f, 2.0f};
+    expect_prefixes_rejected(reply);
+
+    ReplicaStats stats;
+    stats.replica = "beta";
+    stats.served = 3;
+    expect_prefixes_rejected(stats);
+
+    DriftRequest drift;
+    drift.kernel = "k";
+    expect_prefixes_rejected(drift);
+
+    DriftReply drift_reply;
+    drift_reply.accepted = true;
+    expect_prefixes_rejected(drift_reply);
+
     EXPECT_FALSE(SubmitReply::decode({0xff, 0xff, 0xff}).has_value());
-    EXPECT_FALSE(ReplicaStats::decode({}).has_value());
-    EXPECT_FALSE(DriftRequest::decode({}).has_value());
 }
 
 TEST_F(WireTest, FrameRoundtripOverUnixSocket)
@@ -619,8 +646,8 @@ TEST_F(PlaneTest, OneDriftEventCostsOneFleetSweep)
     ASSERT_TRUE(wait_until([&] {
         const auto am = alpha.service.metrics().snapshot();
         const auto bm = beta.service.metrics().snapshot();
-        return alpha.plane.stats().published +
-                       beta.plane.stats().published >=
+        return alpha.plane.stats().published_calibrations +
+                       beta.plane.stats().published_calibrations >=
                    1 &&
                am.adopted_calibrations + bm.adopted_calibrations >= 1;
     }));
@@ -633,8 +660,8 @@ TEST_F(PlaneTest, OneDriftEventCostsOneFleetSweep)
               1u);
     const auto a = alpha.plane.stats();
     const auto b = beta.plane.stats();
-    EXPECT_EQ(a.published + b.published, 1u);
-    EXPECT_EQ(a.redundant + b.redundant, 0u);
+    EXPECT_EQ(a.published_calibrations + b.published_calibrations, 1u);
+    EXPECT_EQ(a.redundant_recalibrations + b.redundant_recalibrations, 0u);
     EXPECT_FALSE(alpha.service.awaiting_adoption("k"));
     EXPECT_FALSE(beta.service.awaiting_adoption("k"));
 
@@ -658,7 +685,7 @@ TEST_F(PlaneTest, LatePublishLandsThroughTheWatchThread)
         return beta.service.metrics().snapshot().adopted_calibrations >=
                1;
     }));
-    EXPECT_EQ(alpha.plane.stats().published, 1u);
+    EXPECT_EQ(alpha.plane.stats().published_calibrations, 1u);
     EXPECT_EQ(beta.service.metrics().snapshot().recalibrations, 0u);
 
     alpha.stop();
@@ -689,7 +716,7 @@ TEST_F(PlaneTest, TakeoverAfterLeaseWinnerDies)
     // and finishes the drift event itself.
     ASSERT_TRUE(wait_until([&] {
         const auto stats = beta.plane.stats();
-        return stats.takeovers >= 1 && stats.published >= 1;
+        return stats.takeovers >= 1 && stats.published_calibrations >= 1;
     }));
     EXPECT_EQ(beta.service.metrics().snapshot().recalibrations, 1u);
     EXPECT_GE(beta.plane.stats().lease_wins, 1u);
@@ -727,14 +754,14 @@ TEST_F(PlaneTest, LostLeasePublishIsRedundantNotClobbering)
     EXPECT_EQ(beta.plane.stats().lease_wins, 1u);
 
     ASSERT_TRUE(wait_until([&] {
-        return alpha.plane.stats().redundant +
-                   beta.plane.stats().redundant >=
+        return alpha.plane.stats().redundant_recalibrations +
+                   beta.plane.stats().redundant_recalibrations >=
                1;
     }));
     const auto a = alpha.plane.stats();
     const auto b = beta.plane.stats();
-    EXPECT_EQ(a.published + b.published, 1u);
-    EXPECT_EQ(a.redundant + b.redundant, 1u);
+    EXPECT_EQ(a.published_calibrations + b.published_calibrations, 1u);
+    EXPECT_EQ(a.redundant_recalibrations + b.redundant_recalibrations, 1u);
     const auto am = alpha.service.metrics().snapshot();
     const auto bm = beta.service.metrics().snapshot();
     EXPECT_GE(am.adopted_calibrations + bm.adopted_calibrations, 1u);
@@ -742,6 +769,41 @@ TEST_F(PlaneTest, LostLeasePublishIsRedundantNotClobbering)
 
     alpha.stop();
     beta.stop();
+}
+
+TEST_F(PlaneTest, LateJoinerAdoptsTheFleetsCurrentRecord)
+{
+    // The fleet published a record that benches `good` before this
+    // replica started (a warm restart restores the calibration it saved
+    // before the drift).  Its first watch poll must install the fleet's
+    // record, or it keeps serving the verdicts its peers dropped.
+    TempDir dir("late");
+    {
+        store::ArtifactStore store(dir.path);
+        store::FleetCalibrationArtifact artifact;
+        artifact.calibration = calibrated_state();
+        artifact.quarantined = {"good"};
+        artifact.toq = 90.0;
+        artifact.metric = runtime::to_string(Metric::MeanRelativeError);
+        ASSERT_TRUE(
+            store.publish_fleet_calibration(fleet_key(), 0, artifact)
+                .published);
+    }
+
+    PlaneConfig config;
+    config.watch_interval = std::chrono::milliseconds(10);
+    PlaneHarness late(dir.path, "late", config);
+    ASSERT_TRUE(wait_until(
+        [&] {
+            return late.service.metrics().snapshot().adopted_calibrations >=
+                   1;
+        },
+        std::chrono::milliseconds(1000)));
+    auto ticket = late.service.submit("k", 42);
+    ASSERT_TRUE(ticket.accepted);
+    EXPECT_EQ(ticket.response.get().served_by, "exact");
+
+    late.stop();
 }
 
 TEST_F(PlaneTest, AdoptionRejectsCountWhenRecordsDoNotFit)
@@ -784,6 +846,70 @@ TEST_F(PlaneTest, AdoptedQuarantineOpensLocalBreaker)
     ASSERT_TRUE(ticket.accepted);
     EXPECT_EQ(ticket.response.get().served_by, "exact");
     service.stop();
+}
+
+// ---- ReplicaServer stats ---------------------------------------------------
+
+TEST_F(ReplicaTest, StatsReplyMirrorsServiceAndPlaneCounters)
+{
+    TempDir dir("stats");
+    PlaneHarness alpha(dir.path, "alpha");
+    ReplicaServer server(alpha.service, &alpha.plane,
+                         {"alpha", (dir.path / "a.sock").string()});
+    ASSERT_TRUE(server.start());
+    FrontDoor door({{"alpha", server.socket_path()}});
+    ASSERT_TRUE(door.start());
+
+    // Traffic, an unknown kernel and a drift event move service and
+    // plane counters off zero.
+    for (int i = 0; i < 8; ++i) {
+        SubmitRequest request;
+        request.kernel = "k";
+        request.input = SubmitRequest::seed_input(i);
+        EXPECT_EQ(door.route(std::move(request)).status, WireStatus::Ok);
+    }
+    SubmitRequest unknown;
+    unknown.kernel = "nope";
+    unknown.input = SubmitRequest::seed_input(0);
+    EXPECT_EQ(door.route(std::move(unknown)).status, WireStatus::Rejected);
+    DriftRequest drift;
+    drift.kernel = "k";
+    ASSERT_TRUE(
+        door.call(0, MsgType::DriftRequest, drift.encode()).has_value());
+    // Quiesce: the recalibration and its publish finish, one watch poll
+    // runs, and the watch thread stops, so nothing moves between the
+    // wire read and the local reads below.
+    alpha.service.drain();
+    alpha.plane.poll_now();
+    alpha.plane.stop();
+
+    const auto reply = door.call(0, MsgType::StatsRequest, {});
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, MsgType::StatsReply);
+    const auto stats = ReplicaStats::decode(reply->payload);
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_EQ(stats->replica, "alpha");
+    const serve::MetricsSnapshot metrics =
+        alpha.service.metrics().snapshot();
+    const PlaneStats plane = alpha.plane.stats();
+#define PARAPROX_FROM_METRICS(type, name)                                     \
+    EXPECT_EQ(stats->name, metrics.name) << #name;
+    PARAPROX_SERVE_COUNTERS(PARAPROX_FROM_METRICS)
+#undef PARAPROX_FROM_METRICS
+#define PARAPROX_FROM_PLANE(type, name)                                       \
+    EXPECT_EQ(stats->name, plane.name) << #name;
+    PARAPROX_PLANE_COUNTERS(PARAPROX_FROM_PLANE)
+#undef PARAPROX_FROM_PLANE
+    EXPECT_EQ(stats->served, 8u);
+    EXPECT_EQ(stats->rejected_unknown, 1u);
+    EXPECT_EQ(stats->recalibrations, 1u);
+    EXPECT_EQ(stats->lease_wins, 1u);
+    EXPECT_EQ(stats->published_calibrations, 1u);
+    EXPECT_GE(stats->watch_polls, 1u);
+
+    door.stop();
+    server.stop();
+    alpha.stop();
 }
 
 // ---- Chaos: kill a replica mid-drift ---------------------------------------
@@ -875,8 +1001,8 @@ TEST_F(ChaosScaleoutTest, KilledReplicaMidDriftLosesNoRequests)
     // publish lands (only its sockets were killed, not its service) or
     // beta takes the event over after its adoption timeout.
     ASSERT_TRUE(wait_until([&] {
-        return alpha.plane.stats().published +
-                   beta.plane.stats().published >=
+        return alpha.plane.stats().published_calibrations +
+                   beta.plane.stats().published_calibrations >=
                1;
     }));
     ASSERT_TRUE(wait_until([&] {
@@ -922,27 +1048,13 @@ TEST_F(HealthTest, HealthDecodersRejectGarbageAndTruncation)
 {
     // Truncation at every prefix must reject, never crash or misparse —
     // the same matrix the request/reply codecs pass.
-    const auto good_ping = [] {
-        Ping ping;
-        ping.nonce = 7;
-        return ping.encode();
-    }();
-    for (std::size_t cut = 0; cut < good_ping.size(); ++cut) {
-        const std::vector<std::uint8_t> prefix(good_ping.begin(),
-                                               good_ping.begin() + cut);
-        EXPECT_FALSE(Ping::decode(prefix).has_value());
-    }
-    const auto good_pong = [] {
-        Pong pong;
-        pong.nonce = 7;
-        pong.replica = "r";
-        return pong.encode();
-    }();
-    for (std::size_t cut = 0; cut < good_pong.size(); ++cut) {
-        const std::vector<std::uint8_t> prefix(good_pong.begin(),
-                                               good_pong.begin() + cut);
-        EXPECT_FALSE(Pong::decode(prefix).has_value());
-    }
+    Ping ping;
+    ping.nonce = 7;
+    expect_prefixes_rejected(ping);
+    Pong pong;
+    pong.nonce = 7;
+    pong.replica = "r";
+    expect_prefixes_rejected(pong);
     EXPECT_FALSE(Ping::decode({0xff, 0xff}).has_value());
     EXPECT_FALSE(Pong::decode({}).has_value());
 }

@@ -1,7 +1,8 @@
-// Tests for the serving subsystem: the bounded queue's backpressure, the
-// latency histogram, the quality monitor's hysteresis, and ApproxService
-// end-to-end — including the forced-drift scenario where the monitor must
-// recalibrate back under the TOQ without dropping queued requests.
+// Tests for the serving subsystem: the sharded queue's backpressure, the
+// latency histogram, the metrics report, the quality monitor's
+// hysteresis, and ApproxService end-to-end — including the forced-drift
+// scenario where the monitor must recalibrate back under the TOQ without
+// dropping queued requests.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,12 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <map>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "serve/metrics.h"
 #include "serve/monitor.h"
@@ -24,50 +30,6 @@ namespace {
 using runtime::Metric;
 using runtime::Variant;
 using runtime::VariantRun;
-
-// ---- BoundedQueue -----------------------------------------------------------
-
-TEST(BoundedQueueTest, FifoWithinCapacity)
-{
-    BoundedQueue<int> queue(4);
-    EXPECT_EQ(queue.try_push(1), PushResult::Ok);
-    EXPECT_EQ(queue.try_push(2), PushResult::Ok);
-    int out = 0;
-    EXPECT_TRUE(queue.pop(out));
-    EXPECT_EQ(out, 1);
-    EXPECT_TRUE(queue.pop(out));
-    EXPECT_EQ(out, 2);
-}
-
-TEST(BoundedQueueTest, RejectsWhenFull)
-{
-    BoundedQueue<int> queue(2);
-    EXPECT_EQ(queue.try_push(1), PushResult::Ok);
-    EXPECT_EQ(queue.try_push(2), PushResult::Ok);
-    EXPECT_EQ(queue.try_push(3), PushResult::Full);
-    int out = 0;
-    EXPECT_TRUE(queue.pop(out));
-    EXPECT_EQ(queue.try_push(3), PushResult::Ok);
-    EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(BoundedQueueTest, CloseDrainsThenStopsConsumers)
-{
-    BoundedQueue<int> queue(4);
-    ASSERT_EQ(queue.try_push(7), PushResult::Ok);
-    queue.close();
-    EXPECT_EQ(queue.try_push(8), PushResult::Closed);
-    int out = 0;
-    EXPECT_TRUE(queue.pop(out));  // Queued before close: still served.
-    EXPECT_EQ(out, 7);
-    EXPECT_FALSE(queue.pop(out));  // Drained: consumer exits.
-}
-
-TEST(BoundedQueueTest, PushResultNames)
-{
-    EXPECT_STREQ(to_string(PushResult::Full), "queue full");
-    EXPECT_STREQ(to_string(PushResult::Closed), "queue closed");
-}
 
 // ---- ShardedQueue -----------------------------------------------------------
 
@@ -128,6 +90,18 @@ TEST(ShardedQueueTest, CapacityIsPerShard)
     EXPECT_EQ(queue.try_push(b, 9), PushResult::Ok);
     // The rejected push left no phantom pending entry behind.
     EXPECT_EQ(queue.size(), 3u);
+    // A pop frees room in the shard: the next push is admitted again.
+    std::size_t cursor = 0;
+    const auto batch = pop_now(queue, cursor, 1);
+    ASSERT_EQ(batch.outcome, IntShards::PopOutcome::Batch);
+    ASSERT_EQ(batch.shard, a);
+    EXPECT_EQ(queue.try_push(a, 3), PushResult::Ok);
+}
+
+TEST(ShardedQueueTest, PushResultNames)
+{
+    EXPECT_STREQ(to_string(PushResult::Full), "queue full");
+    EXPECT_STREQ(to_string(PushResult::Closed), "queue closed");
 }
 
 TEST(ShardedQueueTest, MaxBatchBoundsThePopAndReportsRemaining)
@@ -299,6 +273,44 @@ TEST(LatencyHistogramTest, SingleSampleDefinesEveryPercentile)
     EXPECT_EQ(snap.count, 1u);
     EXPECT_DOUBLE_EQ(snap.p50, std::ldexp(1.0, 10) * 1e-9);
     EXPECT_DOUBLE_EQ(snap.p99, snap.p50);
+}
+
+// ---- Metrics report ---------------------------------------------------------
+
+TEST(MetricsReportTest, OneRowPerCounterInBothTables)
+{
+    // Distinct values, so a row that prints another counter's value
+    // fails too.
+    MetricsSnapshot snapshot;
+    std::vector<std::pair<std::string, std::string>> expected;
+    std::int64_t next = 100;
+#define PARAPROX_SET(type, name)                                              \
+    snapshot.name = static_cast<type>(next);                                  \
+    expected.emplace_back(#name, std::to_string(next++));
+    PARAPROX_SERVE_COUNTERS(PARAPROX_SET)
+    PARAPROX_TUNER_TOTALS(PARAPROX_SET)
+#undef PARAPROX_SET
+
+    std::map<std::string, std::vector<std::string>> rows;
+    std::istringstream report(format_metrics(snapshot));
+    std::string line;
+    std::size_t lines = 0;
+    while (std::getline(report, line)) {
+        ++lines;
+        std::istringstream fields(line);
+        std::string label, value;
+        fields >> label >> value;
+        rows[label].push_back(value);
+    }
+    for (const auto& [name, value] : expected) {
+        ASSERT_EQ(rows[name].size(), 1u) << name;
+        EXPECT_EQ(rows[name].front(), value) << name;
+    }
+    // The counters, then the latency, batch and batch_latency rows.
+    EXPECT_EQ(lines, expected.size() + 3);
+    EXPECT_EQ(rows.count("latency"), 1u);
+    EXPECT_EQ(rows.count("batch"), 1u);
+    EXPECT_EQ(rows.count("batch_latency"), 1u);
 }
 
 // ---- QualityMonitor ---------------------------------------------------------

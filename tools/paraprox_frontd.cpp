@@ -377,9 +377,10 @@ main(int argc, char** argv)
         // the publish race — all terminal, so the stats below are final.
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        std::size_t resolved = 0;
         while (std::chrono::steady_clock::now() < deadline &&
                !g_drain_requested) {
-            std::uint64_t resolved = 0;
+            resolved = 0;
             for (std::size_t i = 0; i < endpoints.size(); ++i) {
                 if (const auto stats = scrape_stats(door, i);
                     stats && stats->published_calibrations +
@@ -392,6 +393,8 @@ main(int argc, char** argv)
                 break;
             std::this_thread::sleep_for(std::chrono::milliseconds(50));
         }
+        std::printf("drift resolved on %zu/%zu replicas\n", resolved,
+                    endpoints.size());
     }
 
     std::printf("\nper-replica stats:\n");
