@@ -175,17 +175,25 @@ struct GroupGeometry {
 
 /// Executes every work-item of one work-group.
 ///
-/// Groups without barriers run their work-items to completion one after
-/// another; groups with barriers run all work-items cooperatively in
-/// barrier-delimited rounds (detecting divergent barriers).
+/// Work-items run in chunks of consecutive ids: one item per chunk in
+/// Instrumented mode, up to kLanes in Fast mode.  Groups without barriers
+/// run their chunks to completion one after another; groups with
+/// barriers run all chunks cooperatively in barrier-delimited rounds
+/// (detecting divergent barriers).
 ///
 /// Two execution modes (ExecMode): Instrumented runs the canonical code
-/// stream with per-opcode counting, listener callbacks, and a
-/// per-dispatch budget check; Fast runs the fused fast_code stream,
-/// counts only total dispatches, hoists the budget check to control
-/// transfers, and compiles the listener branches out entirely.  Safety
-/// traps (bounds, division by zero, divergent barriers) are identical in
-/// both modes, as are all outputs.
+/// stream one work-item at a time, with per-opcode counting, listener
+/// callbacks, and a per-dispatch budget check.  Fast runs the fused
+/// fast_code stream in lockstep: each instruction is decoded once and
+/// applied to every active lane of the chunk, whose registers are stored
+/// register-major.  Lanes whose branches disagree split, and the split
+/// with the lowest pc always runs next, so the splits meet again at the
+/// join.  Fast mode counts only total dispatches (one per lane per
+/// instruction) and checks the budget and the cancel token at control
+/// transfers.  Safety traps (bounds, division by zero, divergent
+/// barriers) are identical in both modes, as are the outputs of every
+/// kernel whose work-items communicate only through barriers and
+/// atomics.
 class GroupRunner {
   public:
     /// @param shared_sizes element counts for each Shared buffer slot;
@@ -193,7 +201,7 @@ class GroupRunner {
     /// @param mode Fast requires @p listener to be null (the fast loop
     ///        has no listener callbacks to deliver).
     /// @param cancel optional cooperative cancellation token, polled at
-    ///        control transfers and between work-items; null = the
+    ///        control transfers and between chunks; null = the
     ///        launch cannot be cancelled.
     GroupRunner(const Program& program,
                 std::vector<BufferView> global_buffers,
@@ -217,31 +225,41 @@ class GroupRunner {
     /// loops in generated kernels).
     static constexpr std::uint64_t kMaxInstructionsPerItem = 1ull << 33;
 
-  private:
-    struct ItemState {
-        std::vector<Value> regs;
-        std::int64_t pc = 0;
-        bool halted = false;
-    };
+    /// Most work-items a Fast-mode chunk runs in lockstep.
+    static constexpr int kLanes = 64;
 
-    /// Run one work-item until Halt (or Barrier when @p stop_at_barrier),
-    /// returning true if it stopped at a barrier.  The template parameter
-    /// selects the instrumented or fast dispatch loop at compile time, so
-    /// the fast instantiation carries no profiling branches at all.
-    ///
-    /// Both loops start on a page boundary.  The switch dispatch is
-    /// sensitive to where its branches land: left to the linker, the fast
-    /// loop's speed moved by ~15% with the size of unrelated code linked
-    /// before it.  Pinned, its layout is the same in every binary.
-    template <bool kInstrumented>
-    [[gnu::aligned(4096)]] bool run_item(ItemState& item,
-                                         const std::array<int, 3>& local_id,
-                                         bool stop_at_barrier);
+  private:
+    /// Consecutive work-items that run together (defined in vm.cpp).
+    struct Chunk;
+    /// One split's turn in the lane loop (defined in vm.cpp).
+    struct Turn;
+
+    // The two dispatch loops, run_item and run_split, start on a page
+    // boundary.  Switch dispatch is sensitive to where its branches land:
+    // left to the linker, a loop's speed moved by ~15% with the size of
+    // unrelated code linked before it.  Pinned, its layout is the same in
+    // every binary.
+
+    /// Run one work-item (a one-lane chunk) of the canonical stream until
+    /// Halt (or Barrier when @p stop_at_barrier), with full accounting.
+    /// Returns the number of lanes parked at a barrier: 1 or 0.
+    [[gnu::aligned(4096)]] int run_item(Chunk& item, bool stop_at_barrier);
+
+    /// Run the lanes of @p chunk over the fast stream in lockstep until
+    /// each halts (or parks at a Barrier when @p stop_at_barrier): give
+    /// turns to its splits, lowest pc first, merging splits that meet.
+    /// Returns the number of lanes parked.
+    int run_chunk(Chunk& chunk, bool stop_at_barrier);
+
+    /// Run @p turn's lanes in lockstep until they reach the next split's
+    /// pc, disagree on a branch, park or halt.
+    [[gnu::aligned(4096)]] void run_split(Turn& turn);
+
+    /// Local id of the work-item with linear local id @p linear.
+    std::array<int, 3> local_id(int linear) const;
 
     /// Throw CancelledError if the launch's token fired.
     void check_cancel() const;
-
-    BufferView& buffer(int slot);
 
     const Program& program_;
     std::vector<BufferView> buffers_;  ///< Global + per-group shared views.
@@ -252,6 +270,7 @@ class GroupRunner {
     MemoryListener* listener_;
     ExecMode mode_;
     const CancelToken* cancel_;
+    int width_;  ///< Lanes per chunk: 1 Instrumented, <= kLanes Fast.
     ExecStats local_stats_;
     std::vector<Value> final_regs_;
 };

@@ -6,7 +6,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <memory>
 
 #include "apps/app.h"
 #include "exec/launch.h"
@@ -573,6 +575,356 @@ TEST(VmTest, FastModeParityAcrossAllApps)
             }
         }
     }
+}
+
+TEST(VmTest, IntegerDivisionOverflowWraps)
+{
+    // INT_MIN / -1 overflows int32.  The VM defines it as the two's-
+    // complement wrap (quotient INT_MIN, remainder 0) instead of letting
+    // the host's idiv raise SIGFPE and take the process down.
+    auto module = parser::parse_module(R"(
+        __kernel void k(__global int* out, int a, int b) {
+            out[0] = a / b;
+            out[1] = a % b;
+            out[2] = 7 / b;
+            out[3] = 7 % b;
+        }
+    )");
+    auto program = compile_kernel(module, "k");
+    for (const auto mode :
+         {vm::ExecMode::Instrumented, vm::ExecMode::Fast}) {
+        Buffer out = Buffer::zeros_i32(4);
+        ArgPack args;
+        args.buffer("out", out)
+            .scalar("a", std::numeric_limits<std::int32_t>::min())
+            .scalar("b", -1);
+        LaunchConfig config = LaunchConfig::linear(1, 1);
+        config.mode = mode;
+        auto result = exec::launch(program, args, config);
+        EXPECT_FALSE(result.trapped);
+        EXPECT_EQ(out.get_int(0), std::numeric_limits<std::int32_t>::min());
+        EXPECT_EQ(out.get_int(1), 0);
+        EXPECT_EQ(out.get_int(2), -7);
+        EXPECT_EQ(out.get_int(3), 0);
+    }
+}
+
+TEST(VmTest, IntegerArithmeticWraps)
+{
+    // Integer + - * and negation wrap mod 2^32 in both modes, including
+    // the fused forms Fast mode runs (mul+add, load+add, add+store) and
+    // the integer atomics.  Under UBSan any signed-overflow shortcut in
+    // the interpreter aborts this test.
+    auto module = parser::parse_module(R"(
+        __kernel void k(__global int* out, __global int* in, int big,
+                        int small, int m1) {
+            int sum = big + 1;
+            out[0] = sum;
+            int diff = small - 1;
+            out[1] = diff;
+            int prod = small * m1;
+            out[2] = prod;
+            int neg = -small;
+            out[3] = neg;
+            int madd = big * 3 + big;
+            out[4] = madd;
+            int loaded = in[0] + big;
+            out[5] = loaded;
+            out[6] = big + big;
+            atomic_add(out, 7, big);
+            atomic_inc(out, 8);
+        }
+    )");
+    auto program = compile_kernel(module, "k");
+    const std::int32_t big = std::numeric_limits<std::int32_t>::max();
+    const std::int32_t small = std::numeric_limits<std::int32_t>::min();
+    const auto wrap = [](std::uint32_t word) {
+        return static_cast<std::int32_t>(word);
+    };
+    const auto ubig = static_cast<std::uint32_t>(big);
+    const std::vector<std::int32_t> expect = {
+        small, big, small, small, wrap(ubig * 3u + ubig), wrap(ubig + 5u),
+        wrap(ubig + ubig), wrap(1u + ubig), small};
+    for (const auto mode :
+         {vm::ExecMode::Instrumented, vm::ExecMode::Fast}) {
+        Buffer out = Buffer::from_ints({0, 0, 0, 0, 0, 0, 0, 1, big});
+        Buffer in = Buffer::from_ints({5});
+        ArgPack args;
+        args.buffer("out", out).buffer("in", in)
+            .scalar("big", big).scalar("small", small).scalar("m1", -1);
+        LaunchConfig config = LaunchConfig::linear(1, 1);
+        config.mode = mode;
+        auto result = exec::launch(program, args, config);
+        EXPECT_FALSE(result.trapped);
+        EXPECT_EQ(out.to_ints(), expect);
+    }
+}
+
+/// Binds a kernel's arguments, owning the buffers it creates.
+using BindArgs =
+    std::function<void(ArgPack&, std::vector<std::unique_ptr<Buffer>>&)>;
+
+/// What one launch left behind: every bound buffer's words and the trap.
+struct ModeRun {
+    std::vector<std::vector<std::int32_t>> words;
+    exec::LaunchResult result;
+};
+
+ModeRun
+run_mode(const vm::Program& program, LaunchConfig config, vm::ExecMode mode,
+         const BindArgs& bind)
+{
+    ArgPack args;
+    std::vector<std::unique_ptr<Buffer>> buffers;
+    bind(args, buffers);
+    config.mode = mode;
+    ModeRun run;
+    run.result = exec::launch(program, args, config);
+    for (const auto& buffer : buffers)
+        run.words.push_back(buffer->to_ints());
+    return run;
+}
+
+/// Launch the single kernel in @p source in both modes over fresh
+/// arguments and expect Fast mode's lockstep lanes to leave every buffer
+/// bit-identical to Instrumented mode's one-item-at-a-time run, with the
+/// same trap.  Returns the Fast run.
+ModeRun
+expect_lanes_match_items(const std::string& source, LaunchConfig config,
+                         const BindArgs& bind)
+{
+    auto module = parser::parse_module(source);
+    auto program = compile_kernel(module, module.kernels()[0]->name);
+    const ModeRun items =
+        run_mode(program, config, vm::ExecMode::Instrumented, bind);
+    ModeRun lanes = run_mode(program, config, vm::ExecMode::Fast, bind);
+    EXPECT_EQ(items.result.trapped, lanes.result.trapped);
+    EXPECT_EQ(items.result.trap_message, lanes.result.trap_message);
+    EXPECT_EQ(items.words, lanes.words);
+    return lanes;
+}
+
+/// Binds one zeroed output buffer `out` of @p n floats.
+BindArgs
+float_out(int n)
+{
+    return [n](ArgPack& args, std::vector<std::unique_ptr<Buffer>>& held) {
+        held.push_back(std::make_unique<Buffer>(Buffer::zeros_f32(n)));
+        args.buffer("out", *held.back());
+    };
+}
+
+constexpr const char* kDivergentLoopSource = R"(
+    __kernel void k(__global float* out) {
+        int i = get_global_id(0);
+        float acc = 0.5f;
+        for (int j = 0; j < i % 13; j++) {
+            acc = acc * 1.25f + (float)(j);
+        }
+        out[i] = acc;
+    }
+)";
+
+TEST(VmTest, LanesDivergentBackEdge)
+{
+    // Every lane leaves the loop on a different iteration; lanes that
+    // exit early wait at the loop exit for the rest.  Two chunks per
+    // group.
+    auto fast = expect_lanes_match_items(
+        kDivergentLoopSource, LaunchConfig::linear(256, 128), float_out(256));
+    EXPECT_FALSE(fast.result.trapped);
+}
+
+TEST(VmTest, LanesEarlyReturn)
+{
+    auto fast = expect_lanes_match_items(R"(
+        float clip(float x) {
+            if (x < 0.0f) { return -x; }
+            float y = x * x;
+            if (y > 50.0f) { return 50.0f; }
+            return y + 1.0f;
+        }
+        __kernel void k(__global float* out, __global int* marks) {
+            int i = get_global_id(0);
+            if (i % 5 == 3) {
+                marks[i] = -1;
+                return;
+            }
+            out[i] = clip((float)(i) - 20.0f);
+            marks[i] = i;
+        }
+    )", LaunchConfig::linear(128, 64),
+        [](ArgPack& args, std::vector<std::unique_ptr<Buffer>>& held) {
+            held.push_back(std::make_unique<Buffer>(Buffer::zeros_f32(128)));
+            args.buffer("out", *held.back());
+            held.push_back(std::make_unique<Buffer>(Buffer::zeros_i32(128)));
+            args.buffer("marks", *held.back());
+        });
+    EXPECT_FALSE(fast.result.trapped);
+    EXPECT_EQ(fast.words[1][3], -1);
+    EXPECT_EQ(fast.words[1][4], 4);
+}
+
+TEST(VmTest, LanesNestedIfElseInLoop)
+{
+    expect_lanes_match_items(R"(
+        __kernel void k(__global int* out) {
+            int i = get_global_id(0);
+            int acc = 0;
+            for (int j = 0; j < 8; j++) {
+                if ((i + j) % 3 == 0) {
+                    if (i % 2 == 0) { acc = acc + j; } else { acc = acc - j; }
+                } else {
+                    if (j > i % 5) { acc = acc * 2; } else { acc = acc + 1; }
+                }
+            }
+            out[i] = acc;
+        }
+    )", LaunchConfig::linear(192, 64),
+        [](ArgPack& args, std::vector<std::unique_ptr<Buffer>>& held) {
+            held.push_back(std::make_unique<Buffer>(Buffer::zeros_i32(192)));
+            args.buffer("out", *held.back());
+        });
+}
+
+TEST(VmTest, LanesReconvergeBeforeBarrier)
+{
+    // Three-way divergence that must rejoin before the barrier; a lane
+    // parked early would otherwise look like a divergent barrier.
+    auto fast = expect_lanes_match_items(R"(
+        __kernel void k(__global float* in, __global float* out,
+                        __shared float* tile) {
+            int l = get_local_id(0);
+            int g = get_global_id(0);
+            int n = get_local_size(0);
+            float v = in[g];
+            if (l % 3 == 0) {
+                v = v * 2.0f;
+            } else {
+                if (l % 3 == 1) { v = v + 1.0f; } else { v = -v; }
+            }
+            tile[l] = v;
+            barrier();
+            out[g] = tile[n - 1 - l] + tile[l];
+        }
+    )", LaunchConfig::linear(128, 64),
+        [](ArgPack& args, std::vector<std::unique_ptr<Buffer>>& held) {
+            std::vector<float> in(128);
+            for (int i = 0; i < 128; ++i)
+                in[i] = 0.5f * static_cast<float>(i) - 7.0f;
+            held.push_back(std::make_unique<Buffer>(Buffer::from_floats(in)));
+            args.buffer("in", *held.back());
+            held.push_back(std::make_unique<Buffer>(Buffer::zeros_f32(128)));
+            args.buffer("out", *held.back()).shared("tile", 64);
+        });
+    EXPECT_FALSE(fast.result.trapped);
+}
+
+TEST(VmTest, LanesGroupShapeNotMultipleOfWidth)
+{
+    // A 5x3x2 group: 30 lanes whose local ids wrap in all three
+    // dimensions.
+    LaunchConfig config{{10, 6, 4}, {5, 3, 2}};
+    auto fast = expect_lanes_match_items(R"(
+        __kernel void k(__global int* out) {
+            int x = get_global_id(0);
+            int y = get_global_id(1);
+            int z = get_global_id(2);
+            int idx = (z * get_global_size(1) + y) * get_global_size(0) + x;
+            out[idx] = get_local_id(0) + 10 * get_local_id(1)
+                     + 100 * get_local_id(2)
+                     + 1000 * (get_group_id(0) + 2 * get_group_id(1)
+                               + 4 * get_group_id(2));
+        }
+    )", config,
+        [](ArgPack& args, std::vector<std::unique_ptr<Buffer>>& held) {
+            held.push_back(std::make_unique<Buffer>(Buffer::zeros_i32(240)));
+            args.buffer("out", *held.back());
+        });
+    for (int z = 0; z < 4; ++z) {
+        for (int y = 0; y < 6; ++y) {
+            for (int x = 0; x < 10; ++x) {
+                const int expect = x % 5 + 10 * (y % 3) + 100 * (z % 2) +
+                                   1000 * (x / 5 + 2 * (y / 3) + 4 * (z / 2));
+                EXPECT_EQ(fast.words[0][(z * 6 + y) * 10 + x], expect);
+            }
+        }
+    }
+}
+
+TEST(VmTest, LanesSharedReverseSpansChunks)
+{
+    // A 256-item group runs as four chunks per barrier round, so every
+    // round must run each chunk up to the barrier before any passes it.
+    auto fast = expect_lanes_match_items(R"(
+        __kernel void rev(__global float* in, __global float* out,
+                          __shared float* tile) {
+            int l = get_local_id(0);
+            int g = get_global_id(0);
+            int n = get_local_size(0);
+            tile[l] = in[g];
+            barrier();
+            float t = tile[n - 1 - l];
+            barrier();
+            tile[l] = t * 2.0f;
+            barrier();
+            out[g] = tile[(l + 1) % n];
+        }
+    )", LaunchConfig::linear(512, 256),
+        [](ArgPack& args, std::vector<std::unique_ptr<Buffer>>& held) {
+            std::vector<float> in(512);
+            for (int i = 0; i < 512; ++i)
+                in[i] = static_cast<float>(i);
+            held.push_back(std::make_unique<Buffer>(Buffer::from_floats(in)));
+            args.buffer("in", *held.back());
+            held.push_back(std::make_unique<Buffer>(Buffer::zeros_f32(512)));
+            args.buffer("out", *held.back()).shared("tile", 256);
+        });
+    ASSERT_FALSE(fast.result.trapped);
+    for (int g = 0; g < 512; ++g) {
+        const int base = g / 256 * 256;
+        const int l = g % 256;
+        const float expect =
+            2.0f * static_cast<float>(base + 255 - (l + 1) % 256);
+        EXPECT_EQ(std::bit_cast<float>(fast.words[1][g]), expect)
+            << "item " << g;
+    }
+}
+
+TEST(VmTest, LanesOutOfBoundsLaneTraps)
+{
+    // Lane 37 of a 64-lane chunk stores out of bounds after the chunk has
+    // reconverged: the store must trap, not skip the lane.
+    auto fast = expect_lanes_match_items(R"(
+        __kernel void k(__global float* out) {
+            int i = get_global_id(0);
+            int idx = i;
+            if (i == 37) { idx = i + 1000; }
+            out[idx] = 1.0f;
+        }
+    )", LaunchConfig::linear(64, 64), float_out(64));
+    EXPECT_TRUE(fast.result.trapped);
+    EXPECT_NE(fast.result.trap_message.find("out-of-bounds store to `out`"),
+              std::string::npos);
+}
+
+TEST(VmTest, FastDispatchCountIndependentOfLocalSize)
+{
+    // Fast mode counts one dispatch per lane per instruction, so how the
+    // NDRange is cut into groups (and so into chunks and splits) does not
+    // change the total.
+    auto module = parser::parse_module(kDivergentLoopSource);
+    auto program = compile_kernel(module, "k");
+    const auto count = [&](int local) {
+        const ModeRun run =
+            run_mode(program, LaunchConfig::linear(256, local),
+                     vm::ExecMode::Fast, float_out(256));
+        EXPECT_FALSE(run.result.trapped);
+        return run.result.stats.total_instructions;
+    };
+    const std::uint64_t per_item = count(1);
+    EXPECT_GT(per_item, 0u);
+    EXPECT_EQ(count(64), per_item);
 }
 
 }  // namespace
