@@ -115,9 +115,12 @@ run_warm_phase(double scale, const std::vector<std::uint64_t>& seeds)
         auto apps = make_scaled_apps(scale, {"BlackScholes"});
         const auto setup = apps.front()->setup(device);
         serve::ApproxService service(config);
-        service.register_data_kernel("bs", *setup->session, setup->plan,
-                                     apps.front()->info().metric, kToq,
-                                     seeds);
+        const auto metric = apps.front()->info().metric;
+        service.register_family(
+            "bs",
+            runtime::data_tier_family(*setup->session, setup->plan, metric,
+                                      kToq),
+            metric, kToq, seeds);
         service.submit("bs", 77);
         service.drain();
         const auto metrics = service.metrics().snapshot();

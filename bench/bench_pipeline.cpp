@@ -237,7 +237,8 @@ run_warm_phase(double scale, const std::vector<std::uint64_t>& seeds)
         runtime::PipelineSession session(std::move(built.pipeline));
 
         serve::ApproxService service(config);
-        service.register_pipeline("edges", session, kMetric, kToq, seeds);
+        service.register_family("edges", session.family(kMetric, kToq),
+                                kMetric, kToq, seeds);
         service.submit("edges", 77);
         service.drain();
 

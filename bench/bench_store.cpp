@@ -105,8 +105,9 @@ run_pass(const std::vector<CaseStudyFunction>& functions, int n)
         start = std::chrono::steady_clock::now();
         constexpr auto metric = runtime::Metric::MeanRelativeError;
         const auto warm = runtime::warm_tuner(
-            session.variants(plan), metric, options.toq, {11, 22},
-            session.calibration_key(metric));
+            runtime::kernel_family(session.variants(plan),
+                                   session.calibration_key(metric)),
+            metric, options.toq, {11, 22});
         out.tuner_seconds += seconds_since(start);
         out.warm_tuners += warm.warm ? 1 : 0;
     }

@@ -265,51 +265,25 @@ data_calibration_key(const KernelSession& session, Metric metric,
     return key;
 }
 
-WarmDataTuner
-warm_data_tuner(const KernelSession& session, const core::LaunchPlan& plan,
-                Metric metric,
-                const std::vector<std::uint64_t>& training_seeds,
-                double toq_percent, int check_interval,
-                const DataTierOptions& options)
+VariantFamily
+data_tier_family(const KernelSession& session, const core::LaunchPlan& plan,
+                 Metric metric, double toq_percent,
+                 const DataTierOptions& options)
 {
-    WarmDataTuner out;
-    const double toq =
-        toq_percent < 0.0 ? session.options().toq : toq_percent;
-    const auto store = store::ArtifactStore::global();
-    const store::StoreKey key = data_calibration_key(session, metric, toq);
-
-    if (store) {
-        if (const auto stored = store->load_precision_calibration(key)) {
-            DataTier tier = rebuild_data_tier(session, plan, stored->plans);
-            if (!tier.variants.empty()) {
-                auto tuner = std::make_unique<Tuner>(
-                    std::move(tier.variants), metric, toq, check_interval);
-                if (tuner->restore_calibration(stored->calibration)) {
-                    out.tuner = std::move(tuner);
-                    out.plans = std::move(tier.plans);
-                    out.safety = std::move(tier.safety);
-                    out.warm = true;
-                    return out;
-                }
-            }
-        }
-    }
-
-    DataTier tier = build_data_tier(session, plan, options);
-    out.plans = std::move(tier.plans);
-    out.safety = std::move(tier.safety);
-    out.tuner = std::make_unique<Tuner>(std::move(tier.variants), metric,
-                                        toq, check_interval);
-    out.tuner->calibrate(training_seeds);
-    if (store) {
-        store::PrecisionCalibrationArtifact artifact;
-        artifact.plans = out.plans;
-        artifact.calibration = out.tuner->calibration_state();
-        artifact.toq = toq;
-        artifact.metric = to_string(metric);
-        store->save_precision_calibration(key, artifact);
-    }
-    return out;
+    VariantFamily family;
+    family.kind = VariantFamily::Kind::DataTier;
+    family.key = data_calibration_key(session, metric, toq_percent);
+    family.build = [&session, plan,
+                    options](store::CalibrationRecord& record) {
+        DataTier tier = build_data_tier(session, plan, options);
+        record.plans = std::move(tier.plans);
+        return std::move(tier.variants);
+    };
+    family.rebuild = [&session,
+                      plan](const store::CalibrationRecord& record) {
+        return rebuild_data_tier(session, plan, record.plans).variants;
+    };
+    return family;
 }
 
 }  // namespace paraprox::runtime

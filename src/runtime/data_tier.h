@@ -20,9 +20,9 @@
 ///
 /// Because precision plans are plain Variants, the whole Tuner stack —
 /// TOQ calibration, audits, backoff, quarantine breakers, degradation
-/// ladder — applies to them unchanged, and warm_data_tuner() persists the
-/// searched plans + calibration as one PrecisionCalibration artifact so a
-/// restart re-serves without a single profiling or calibration run.
+/// ladder — applies to them unchanged, and data_tier_family() lets
+/// runtime::warm_tuner persist the searched plans with the calibration so
+/// a restart re-serves without a single profiling or calibration run.
 
 #pragma once
 
@@ -70,23 +70,16 @@ DataTier rebuild_data_tier(const KernelSession& session,
                            const core::LaunchPlan& plan,
                            const std::vector<data::PrecisionPlan>& plans);
 
-/// warm_tuner() for the precision axis: restores a stored
-/// PrecisionCalibration artifact (zero profiling runs, zero calibration
-/// runs, zero plan search) or, cold, builds the tier, calibrates, and
-/// persists plans + calibration for the next process.
-struct WarmDataTuner {
-    std::unique_ptr<Tuner> tuner;
-    std::vector<data::PrecisionPlan> plans;  ///< plans[0] = all-exact.
-    data::StorageSafety safety;
-    bool warm = false;
-};
-WarmDataTuner warm_data_tuner(const KernelSession& session,
-                              const core::LaunchPlan& plan, Metric metric,
-                              const std::vector<std::uint64_t>&
-                                  training_seeds,
-                              double toq_percent = -1.0,
-                              int check_interval = 50,
-                              const DataTierOptions& options = {});
+/// @p session's exact kernel over @p plan as a registrable precision
+/// family (see runtime::warm_tuner), keyed by data_calibration_key().
+/// The cold build is build_data_tier() and records its plans; the
+/// rebuild is rebuild_data_tier() over a stored record's plans, so a
+/// stored plan that packs a pinned buffer is still refused.  The family
+/// refers to @p session, which must outlive its use.
+VariantFamily data_tier_family(const KernelSession& session,
+                               const core::LaunchPlan& plan, Metric metric,
+                               double toq_percent,
+                               const DataTierOptions& options = {});
 
 /// The store key for this session's precision calibration (detail
 /// "data-tier", alongside the kernel-calibration key's "calibration").

@@ -475,49 +475,32 @@ PipelineSession::calibration_key(Metric metric, double toq_percent) const
     return key;
 }
 
-WarmTuner
-PipelineSession::warm_tuner(Metric metric,
-                            const std::vector<std::uint64_t>& training_seeds,
-                            double toq_percent, int check_interval,
-                            const JointSearchOptions& options)
+VariantFamily
+PipelineSession::family(Metric metric, double toq_percent,
+                        const JointSearchOptions& options)
 {
-    WarmTuner out;
-    const auto store = store::ArtifactStore::global();
-    const store::StoreKey key = calibration_key(metric, toq_percent);
-
-    if (store) {
-        if (const auto stored = store->load_pipeline_calibration(key)) {
-            if (stored->stage_names == stats_->stage_names()) {
-                if (auto configs = configs_for(stored->configs)) {
-                    auto tuner = std::make_unique<Tuner>(
-                        variants_from(*configs), metric, toq_percent,
-                        check_interval);
-                    if (tuner->restore_calibration(stored->calibration)) {
-                        configs_ = std::move(*configs);
-                        search_info_ = {};
-                        out.tuner = std::move(tuner);
-                        out.warm = true;
-                    }
-                }
-            }
-        }
-    }
-    if (!out.warm) {
-        out.tuner = std::make_unique<Tuner>(joint_variants(options), metric,
-                                            toq_percent, check_interval);
-        out.tuner->calibrate(training_seeds);
-        if (store) {
-            store::PipelineCalibrationArtifact artifact;
-            artifact.stage_names = stats_->stage_names();
-            for (const JointConfig& config : configs_)
-                artifact.configs.push_back(config.labels);
-            artifact.calibration = out.tuner->calibration_state();
-            artifact.toq = toq_percent;
-            artifact.metric = to_string(metric);
-            store->save_pipeline_calibration(key, artifact);
-        }
-    }
-    return out;
+    VariantFamily family;
+    family.kind = VariantFamily::Kind::Pipeline;
+    family.key = calibration_key(metric, toq_percent);
+    family.stages = stats_;
+    family.build = [this, options](store::CalibrationRecord& record) {
+        std::vector<Variant> variants = joint_variants(options);
+        record.stage_names = stage_names();
+        for (const JointConfig& config : configs_)
+            record.configs.push_back(config.labels);
+        return variants;
+    };
+    family.rebuild = [this](const store::CalibrationRecord& record) {
+        auto configs = record.stage_names == stage_names()
+                           ? configs_for(record.configs)
+                           : std::nullopt;
+        if (!configs)
+            return std::vector<Variant>{};
+        configs_ = std::move(*configs);
+        search_info_ = {};
+        return variants_from(configs_);
+    };
+    return family;
 }
 
 }  // namespace paraprox::runtime

@@ -20,7 +20,7 @@
 /// dominated in both predicted cycles and per-stage aggressiveness are
 /// eliminated, and the survivors are capped fastest-predicted-first.
 ///
-///     Pipeline -> PipelineSession -> joint_variants()/warm_tuner()
+///     Pipeline -> PipelineSession -> joint_variants()/family()
 ///              -> Tuner (end-to-end TOQ).
 
 #pragma once
@@ -179,9 +179,9 @@ class PipelineSession {
     /// What the last search() decided; zeros before any search.
     const JointSearchInfo& search_info() const { return search_info_; }
 
-    /// The configurations backing the most recent joint_variants() /
-    /// warm_tuner() call, index-aligned with the tuner's variant list
-    /// (so tuner.selected_index() names configs()[i].members).
+    /// The configurations backing the most recent joint_variants() call
+    /// or family() build/rebuild, index-aligned with the tuner's variant
+    /// list (so tuner.selected_index() names configs()[i].members).
     const std::vector<JointConfig>& configs() const { return configs_; }
 
     /// Tuner-ready joint variant list: search() wrapped into Variant
@@ -210,15 +210,15 @@ class PipelineSession {
     /// fingerprint x pipeline name x device x TOQ x metric.
     store::StoreKey calibration_key(Metric metric, double toq_percent) const;
 
-    /// Joint tuner with a durable calibration tier.  With a global
-    /// ArtifactStore, a stored plan + calibration matching
-    /// calibration_key() is restored — zero joint-search probe runs,
-    /// zero calibration sweeps — and a cold search + calibration is
-    /// persisted for the next process.  Either way configs() is aligned
-    /// with the returned tuner's variants.
-    WarmTuner warm_tuner(Metric metric,
-                         const std::vector<std::uint64_t>& training_seeds,
-                         double toq_percent, int check_interval = 50,
+    /// This chain as a registrable family (see runtime::warm_tuner),
+    /// keyed by calibration_key(metric, toq_percent).  The cold build
+    /// runs the joint search and records the stage names and each
+    /// config's member labels; the rebuild maps a stored record's labels
+    /// back through configs_for() / variants_from() — zero probe runs —
+    /// and rejects a record for other stages.  Either way configs() is
+    /// aligned with the resulting variants.  The family refers to this
+    /// session, which must outlive its use.
+    VariantFamily family(Metric metric, double toq_percent,
                          const JointSearchOptions& options = {});
 
   private:

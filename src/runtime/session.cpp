@@ -109,25 +109,56 @@ KernelSession::calibration_key(Metric metric, double toq_percent) const
     return key;
 }
 
+VariantFamily
+kernel_family(std::vector<Variant> variants,
+              std::optional<store::StoreKey> key)
+{
+    auto shared =
+        std::make_shared<const std::vector<Variant>>(std::move(variants));
+    VariantFamily family;
+    family.key = std::move(key);
+    family.build = [shared](store::CalibrationRecord&) { return *shared; };
+    family.rebuild = [shared](const store::CalibrationRecord& record) {
+        // A sectioned record was written for another family kind.
+        return record.configs.empty() && record.plans.empty()
+                   ? *shared
+                   : std::vector<Variant>{};
+    };
+    return family;
+}
+
 WarmTuner
-warm_tuner(std::vector<Variant> variants, Metric metric, double toq_percent,
+warm_tuner(const VariantFamily& family, Metric metric, double toq_percent,
            const std::vector<std::uint64_t>& training_seeds,
-           const std::optional<store::StoreKey>& key, int check_interval)
+           int check_interval)
 {
     WarmTuner out;
-    out.tuner = std::make_unique<Tuner>(std::move(variants), metric,
-                                        toq_percent, check_interval);
-
-    const auto store = key ? store::ArtifactStore::global() : nullptr;
+    const auto store = family.key ? store::ArtifactStore::global() : nullptr;
     if (store) {
-        if (const auto stored = store->load_calibration(*key))
-            out.warm = out.tuner->restore_calibration(*stored);
+        if (auto stored = store->load_calibration(*family.key)) {
+            std::vector<Variant> variants = family.rebuild(*stored);
+            if (!variants.empty()) {
+                auto tuner = std::make_unique<Tuner>(
+                    std::move(variants), metric, toq_percent,
+                    check_interval);
+                if (tuner->restore_calibration(stored->calibration)) {
+                    out.tuner = std::move(tuner);
+                    out.warm = true;
+                    out.record = std::move(*stored);
+                    return out;
+                }
+            }
+        }
     }
-    if (!out.warm) {
-        out.tuner->calibrate(training_seeds);
-        if (store)
-            store->save_calibration(*key, out.tuner->calibration_state());
-    }
+
+    out.tuner = std::make_unique<Tuner>(family.build(out.record), metric,
+                                        toq_percent, check_interval);
+    out.tuner->calibrate(training_seeds);
+    out.record.calibration = out.tuner->calibration_state();
+    out.record.toq = toq_percent;
+    out.record.metric = to_string(metric);
+    if (store)
+        store->save_calibration(*family.key, out.record);
     return out;
 }
 

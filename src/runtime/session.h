@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -88,7 +89,7 @@ class KernelSession {
 
     /// The store key under which this session's calibration is persisted:
     /// module fingerprint x kernel x device-model id x TOQ x metric
-    /// (x store-format version, implicitly).  warm_tuner() takes it.
+    /// (x store-format version, implicitly).  kernel_family() takes it.
     store::StoreKey calibration_key(Metric metric,
                                     double toq_percent = -1.0) const;
 
@@ -101,22 +102,56 @@ class KernelSession {
     std::uint64_t fingerprint_ = 0;
 };
 
+class PipelineStats;
+
+/// Anything ApproxService can register: a plain variant list, a pipeline
+/// (PipelineSession::family) or a data tier (data_tier_family).  Three
+/// things describe it — where its calibration is stored, how to build
+/// its variants cold, and how to rebuild them from a stored record — and
+/// warm_tuner() is the one routine that uses them.
+struct VariantFamily {
+    enum class Kind { Kernel, Pipeline, DataTier };
+    /// ApproxService counts warm restores per kind.
+    Kind kind = Kind::Kernel;
+    /// Store key of the family's calibration record; none = never stored.
+    std::optional<store::StoreKey> key;
+    /// Cold path: the variant list (variants[0] exact), writing the
+    /// record section that describes it into @p record.
+    std::function<std::vector<Variant>(store::CalibrationRecord& record)>
+        build;
+    /// Warm path: the variant list a stored record's section describes,
+    /// or an empty list when the record does not fit the live family.
+    std::function<std::vector<Variant>(
+        const store::CalibrationRecord& record)>
+        rebuild;
+    /// Per-stage trap attribution; null unless a pipeline.
+    std::shared_ptr<const PipelineStats> stages;
+};
+
+/// @p variants as a family with no record section.  For a session, pass
+/// session.variants(plan) and session.calibration_key(metric, toq).
+VariantFamily kernel_family(std::vector<Variant> variants,
+                            std::optional<store::StoreKey> key = {});
+
 /// A calibrated tuner and where its calibration came from.
 struct WarmTuner {
     std::unique_ptr<Tuner> tuner;
     bool warm = false;  ///< True when restored from the store.
+    /// The restored record, or the one a cold start built (and saved,
+    /// when a store is configured): the family's section plus the
+    /// tuner's calibration.
+    store::CalibrationRecord record;
 };
 
-/// A Tuner over @p variants with a durable calibration tier.  Without a
-/// @p key or a global ArtifactStore this is Tuner + calibrate().  With
-/// both, a stored calibration under @p key is restored — skipping the
-/// profiling sweep; quality is re-validated on the first audit — and a
-/// cold calibration is persisted for the next process.  For a session,
-/// pass session.variants(plan) and session.calibration_key(metric, toq).
-WarmTuner warm_tuner(std::vector<Variant> variants, Metric metric,
+/// A calibrated Tuner over @p family.  Without a key or a global
+/// ArtifactStore this is build + Tuner + calibrate().  With both, a
+/// stored record under the key is rebuilt and restored — skipping the
+/// profiling sweep and whatever search the cold build runs; quality is
+/// re-validated on the first audit — and a cold calibration is saved
+/// for the next process.
+WarmTuner warm_tuner(const VariantFamily& family, Metric metric,
                      double toq_percent,
                      const std::vector<std::uint64_t>& training_seeds,
-                     const std::optional<store::StoreKey>& key,
                      int check_interval = 50);
 
 }  // namespace paraprox::runtime

@@ -231,6 +231,11 @@ class Tuner {
     /// @p input_seed, bypassing selection and all bookkeeping.
     VariantRun run_exact(std::uint64_t input_seed) const;
 
+    /// Label of variants[0]: what a run_exact() re-serve reports as the
+    /// variant that produced it (a pipeline's reads
+    /// "blur=exact | sobel=exact | ...", not "exact").
+    const std::string& exact_label() const { return variants_[0].label; }
+
     /// Install a circuit-breaker policy (see QuarantineConfig).  Resets
     /// no breaker state; call before serving traffic.
     void set_quarantine(const QuarantineConfig& config);

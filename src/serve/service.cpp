@@ -66,11 +66,31 @@ ApproxService::~ApproxService()
 }
 
 void
-ApproxService::install_kernel(std::unique_ptr<KernelState> state)
+ApproxService::register_family(
+    const std::string& name, const runtime::VariantFamily& family,
+    runtime::Metric metric, double toq_percent,
+    const std::vector<std::uint64_t>& training_seeds)
 {
-    // Calibration (already done by the callers) runs the instrumented
-    // closures regardless; the mode only governs how workers serve.
-    state->tuner->set_serving_mode(config_.exec_mode);
+    runtime::WarmTuner warm = runtime::warm_tuner(
+        family, metric, toq_percent, training_seeds, kCheckInterval);
+    if (warm.warm) {
+        using Kind = runtime::VariantFamily::Kind;
+        auto& restored = family.kind == Kind::Pipeline
+                             ? metrics_.warm_pipelines
+                         : family.kind == Kind::DataTier
+                             ? metrics_.warm_data_tiers
+                             : metrics_.warm_registrations;
+        restored.fetch_add(1, std::memory_order_relaxed);
+    }
+    auto state = std::make_unique<KernelState>(
+        name, std::move(warm.tuner), metric, toq_percent, config_.monitor,
+        training_seeds);
+    state->pipeline_stats = family.stages;
+
+    // Calibration (already done above) runs the instrumented closures
+    // regardless; workers serve through the fast VM loop, so requests
+    // stop paying for profiling they never read.
+    state->tuner->set_serving_mode(vm::ExecMode::Fast);
     state->tuner->set_quarantine(config_.quarantine);
     // A service created while load shedding is already in effect brings
     // newly registered kernels onto the current ladder level.
@@ -78,7 +98,6 @@ ApproxService::install_kernel(std::unique_ptr<KernelState> state)
         std::lock_guard<std::mutex> lock(pressure_mutex_);
         state->tuner->set_degradation_level(degradation_level_);
     }
-    const std::string name = state->name;
     std::lock_guard<std::mutex> lock(kernels_mutex_);
     PARAPROX_CHECK(kernels_.find(name) == kernels_.end(),
                    "kernel `" + name + "` is already registered");
@@ -86,58 +105,6 @@ ApproxService::install_kernel(std::unique_ptr<KernelState> state)
     // worker batching are all per kernel from here on.
     state->shard = queue_.add_shard();
     kernels_.emplace(name, std::move(state));
-}
-
-void
-ApproxService::register_kernel(
-    const std::string& name, std::vector<runtime::Variant> variants,
-    runtime::Metric metric, double toq_percent,
-    const std::vector<std::uint64_t>& training_seeds,
-    std::optional<store::StoreKey> warm_key)
-{
-    runtime::WarmTuner warm =
-        runtime::warm_tuner(std::move(variants), metric, toq_percent,
-                            training_seeds, warm_key, kCheckInterval);
-    if (warm.warm)
-        metrics_.warm_registrations.fetch_add(1, std::memory_order_relaxed);
-    install_kernel(std::make_unique<KernelState>(
-        name, std::move(warm.tuner), metric, toq_percent, config_.monitor,
-        training_seeds));
-}
-
-void
-ApproxService::register_pipeline(
-    const std::string& name, runtime::PipelineSession& session,
-    runtime::Metric metric, double toq_percent,
-    const std::vector<std::uint64_t>& training_seeds,
-    const runtime::JointSearchOptions& search)
-{
-    runtime::WarmTuner warm = session.warm_tuner(
-        metric, training_seeds, toq_percent, kCheckInterval, search);
-    if (warm.warm)
-        metrics_.warm_pipelines.fetch_add(1, std::memory_order_relaxed);
-    auto state = std::make_unique<KernelState>(
-        name, std::move(warm.tuner), metric, toq_percent, config_.monitor,
-        training_seeds);
-    state->pipeline_stats = session.stats();
-    install_kernel(std::move(state));
-}
-
-void
-ApproxService::register_data_kernel(
-    const std::string& name, const runtime::KernelSession& session,
-    const core::LaunchPlan& plan, runtime::Metric metric,
-    double toq_percent, const std::vector<std::uint64_t>& training_seeds,
-    const runtime::DataTierOptions& options)
-{
-    runtime::WarmDataTuner warm =
-        runtime::warm_data_tuner(session, plan, metric, training_seeds,
-                                 toq_percent, kCheckInterval, options);
-    if (warm.warm)
-        metrics_.warm_data_tiers.fetch_add(1, std::memory_order_relaxed);
-    install_kernel(std::make_unique<KernelState>(
-        name, std::move(warm.tuner), metric, toq_percent, config_.monitor,
-        training_seeds));
 }
 
 ApproxService::KernelState*
@@ -387,7 +354,7 @@ ApproxService::serve_detour(KernelState& state, Job& job)
     Response response;
     try {
         response.run = state.tuner->run_exact(job.seed);
-        response.served_by = "exact";
+        response.served_by = state.tuner->exact_label();
         if (exact_only) {
             metrics_.exact_while_recalibrating.fetch_add(
                 1, std::memory_order_relaxed);
@@ -504,7 +471,7 @@ ApproxService::launch_jobs(std::size_t worker, KernelState& state,
                             !served.degraded &&
                             state.monitor.admit(jobs[i]->seed);
         if (shadow) {
-            const runtime::VariantRun exact =
+            runtime::VariantRun exact =
                 state.tuner->run_exact(jobs[i]->seed);
             response.shadowed = true;
             response.shadow_quality = runtime::quality_percent(
@@ -517,6 +484,10 @@ ApproxService::launch_jobs(std::size_t worker, KernelState& state,
                 // just like a trap: K sustained misses quarantine it even
                 // before the monitor's slower drift trigger fires.
                 state.tuner->record_failure(served.index);
+                // The audit already produced the exact answer; the
+                // client gets it instead of the output that failed.
+                response.run = std::move(exact);
+                response.served_by = state.tuner->exact_label();
             }
             if (state.monitor.record(response.shadow_quality))
                 trigger_recalibration(state, {});
@@ -549,7 +520,7 @@ ApproxService::finish_cancelled(KernelState& state, std::uint64_t seed,
             hang_charged = true;
         }
         response.run = state.tuner->run_exact(seed);
-        response.served_by = "exact";
+        response.served_by = state.tuner->exact_label();
         response.watchdog_fallback = true;
         metrics_.watchdog_fallbacks.fetch_add(1,
                                               std::memory_order_relaxed);

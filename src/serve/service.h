@@ -99,12 +99,6 @@ struct ServiceConfig {
     BatchConfig batching;
     /// Per-kernel monitoring knobs.
     QualityMonitor::Config monitor;
-    /// How workers execute variants.  Serving defaults to the fast VM
-    /// loop: calibration (inside register_kernel) always runs
-    /// instrumented for the device cost models, but steady-state requests
-    /// should not pay for profiling they never read.  Variants without a
-    /// run_fast closure are unaffected.
-    vm::ExecMode exec_mode = vm::ExecMode::Fast;
     /// Circuit-breaker policy installed on every kernel's tuner.  Unlike
     /// the tuner's own permanent-demotion default, a service expects
     /// transient faults: three failures inside a 64-invocation window
@@ -216,7 +210,7 @@ struct KernelSnapshot {
     runtime::TunerStats tuner;
     QualityMonitor::Snapshot monitor;
     std::vector<runtime::BreakerSnapshot> breakers;
-    /// Empty unless registered via register_pipeline().
+    /// Empty unless a pipeline family.
     std::vector<PipelineStageSnapshot> stages;
     /// Requests waiting in this kernel's shard right now.
     std::size_t queue_depth = 0;
@@ -237,55 +231,64 @@ class ApproxService {
     ApproxService(const ApproxService&) = delete;
     ApproxService& operator=(const ApproxService&) = delete;
 
-    /// Register a kernel family under @p name and calibrate its tuner on
-    /// @p training_seeds (variants[0] must be the exact kernel).
-    /// Registering while serving is safe; re-registering a name is an
-    /// error.  With a @p warm_key and a global ArtifactStore, a stored
-    /// calibration matching the key skips the profiling sweep (the tuner
-    /// re-validates quality on its first audit); a cold calibration is
-    /// persisted under the key for the next process.
-    /// KernelSession::calibration_key() produces the right key.
+    /// Register @p family under @p name and calibrate its tuner on
+    /// @p training_seeds through runtime::warm_tuner: with the family's
+    /// key and a global ArtifactStore, a stored record restores the
+    /// family without a profiling sweep, joint search or traffic profile
+    /// (counted by kind in metrics().warm_registrations, warm_pipelines
+    /// and warm_data_tiers), and a cold calibration is persisted.
+    /// Every kind rides the same admission, deadline, quarantine and
+    /// degradation machinery; for a pipeline one request is one joint
+    /// execution under one deadline, breakers quarantine joint configs,
+    /// and kernel_snapshot() attributes traps to stages.  Registering
+    /// while serving is safe; re-registering a name is an error.  A
+    /// session behind the family may be destroyed afterwards.
+    void register_family(const std::string& name,
+                         const runtime::VariantFamily& family,
+                         runtime::Metric metric, double toq_percent,
+                         const std::vector<std::uint64_t>& training_seeds);
+
+    /// register_family() for a plain variant list (variants[0] exact),
+    /// persisted under @p warm_key when given; the common case.
     void register_kernel(const std::string& name,
                          std::vector<runtime::Variant> variants,
                          runtime::Metric metric, double toq_percent,
                          const std::vector<std::uint64_t>& training_seeds,
-                         std::optional<store::StoreKey> warm_key = {});
+                         std::optional<store::StoreKey> warm_key = {})
+    {
+        register_family(name,
+                        runtime::kernel_family(std::move(variants),
+                                               std::move(warm_key)),
+                        metric, toq_percent, training_seeds);
+    }
 
-    /// Register a whole pipeline under @p name: joint variants from
-    /// @p session, calibrated end-to-end against @p toq_percent on the
-    /// final stage's output.  Submits against the name ride the exact
-    /// same admission/deadline/quarantine/degradation machinery as
-    /// single kernels — one deadline covers the whole chain (a request
-    /// is one joint execution), breakers quarantine joint configs, and
-    /// kernel_snapshot() additionally attributes traps to stages.  With
-    /// a global ArtifactStore, a stored joint calibration under
-    /// session.calibration_key() restores the searched plan without any
-    /// probe runs (metrics().warm_pipelines) and a cold search +
-    /// calibration is persisted.  The session may be destroyed after
-    /// registration; the closures and stage stats outlive it.
+    /// register_family() under its pre-merge name.  perfbench is the
+    /// only caller; the benchmark change that migrates perfbench deletes
+    /// it.
     void register_pipeline(const std::string& name,
                            runtime::PipelineSession& session,
                            runtime::Metric metric, double toq_percent,
-                           const std::vector<std::uint64_t>& training_seeds,
-                           const runtime::JointSearchOptions& search = {});
+                           const std::vector<std::uint64_t>& training_seeds)
+    {
+        register_family(name, session.family(metric, toq_percent), metric,
+                        toq_percent, training_seeds);
+    }
 
-    /// Register @p session's exact kernel as a precision-variant family
-    /// under @p name: runtime::build_data_tier enumerates per-buffer
-    /// storage-codec plans (pruned by the static safety analysis and one
-    /// traffic-profiling run), each plan serves as an ordinary variant,
-    /// so quarantine breakers and the degradation ladder apply to
-    /// precision exactly as to algorithmic approximation.  With a global
-    /// ArtifactStore, a stored PrecisionCalibration under
-    /// runtime::data_calibration_key() restores plans + calibration with
-    /// zero profiling or search runs (metrics().warm_data_tiers); a cold
-    /// build is persisted.  The session may be destroyed afterwards.
+    /// register_family() under its pre-merge name.  perfbench is the
+    /// only caller; the benchmark change that migrates perfbench deletes
+    /// it.
     void register_data_kernel(const std::string& name,
                               const runtime::KernelSession& session,
                               const core::LaunchPlan& plan,
                               runtime::Metric metric, double toq_percent,
                               const std::vector<std::uint64_t>&
-                                  training_seeds,
-                              const runtime::DataTierOptions& options = {});
+                                  training_seeds)
+    {
+        register_family(name,
+                        runtime::data_tier_family(session, plan, metric,
+                                                  toq_percent),
+                        metric, toq_percent, training_seeds);
+    }
 
     /// Admit one request.  Never blocks: a full queue, an unknown kernel,
     /// a stopped service, or an unmeetable deadline (already expired, or
@@ -422,8 +425,6 @@ class ApproxService {
         const KernelState& state) const;
     /// Fold a clean launch wall clock into the kernel's EWMA.
     static void observe_launch_wall(KernelState& state, double seconds);
-    /// Shared registration tail: service-level tuner policy + insertion.
-    void install_kernel(std::unique_ptr<KernelState> state);
     /// Empty @p seeds: use the monitor's recent (drifted) seeds, then the
     /// registration seeds.
     void trigger_recalibration(KernelState& state,

@@ -27,8 +27,6 @@ kind_prefix(ArtifactKind kind)
         case ArtifactKind::Program: return "prog";
         case ArtifactKind::Table: return "table";
         case ArtifactKind::Calibration: return "calib";
-        case ArtifactKind::PipelineCalibration: return "pcal";
-        case ArtifactKind::PrecisionCalibration: return "dcal";
         case ArtifactKind::FleetCalibration: return "fleet";
         case ArtifactKind::Lease: return "lease";
     }
@@ -283,26 +281,105 @@ decode_calibration_state(ByteReader& r,
 }
 
 std::vector<std::uint8_t>
-encode_calibration(const StoreKey& key,
-                   const CalibrationArtifact& calibration)
+encode_calibration(const StoreKey& key, const CalibrationRecord& record)
 {
     ByteWriter w;
     w.str(key.canonical());
-    encode_calibration_state(w, calibration);
+    encode_calibration_state(w, record.calibration);
+    w.f64(record.toq);
+    w.str(record.metric);
+    w.u64(record.stage_names.size());
+    for (const auto& name : record.stage_names)
+        w.str(name);
+    w.u64(record.configs.size());
+    for (const auto& config : record.configs) {
+        w.u64(config.size());
+        for (const auto& label : config)
+            w.str(label);
+    }
+    w.u64(record.plans.size());
+    for (const auto& plan : record.plans) {
+        w.str(plan.label);
+        w.u64(plan.assignments.size());
+        for (const auto& assignment : plan.assignments) {
+            w.str(assignment.buffer);
+            w.u8(static_cast<std::uint8_t>(assignment.codec));
+            w.f32(assignment.quant.scale);
+            w.f32(assignment.quant.zero);
+        }
+    }
     return w.bytes();
 }
 
-std::optional<CalibrationArtifact>
-decode_calibration(const StoreKey& key,
-                   const std::vector<std::uint8_t>& payload)
+/// Shared by the store's keyed load (@p expected_key set) and the
+/// inspection tool's unkeyed decode.
+std::optional<CalibrationRecord>
+decode_calibration(const std::vector<std::uint8_t>& payload,
+                   const std::string* expected_key, std::string* key_out)
 {
     ByteReader r(payload.data(), payload.size());
-    if (r.str() != key.canonical())
+    const std::string embedded = r.str();
+    if (key_out != nullptr)
+        *key_out = embedded;
+    if (expected_key != nullptr && embedded != *expected_key)
         return std::nullopt;
-    CalibrationArtifact calibration;
-    if (!decode_calibration_state(r, calibration) || !r.at_end())
+    CalibrationRecord record;
+    if (!decode_calibration_state(r, record.calibration))
         return std::nullopt;
-    return calibration;
+    record.toq = r.f64();
+    record.metric = r.str();
+
+    record.stage_names.resize(r.count(1));
+    for (auto& name : record.stage_names)
+        name = r.str();
+    record.configs.resize(r.count(1));
+    for (auto& config : record.configs) {
+        config.resize(r.count(1));
+        for (auto& label : config)
+            label = r.str();
+        if (config.size() != record.stage_names.size())
+            return std::nullopt;
+    }
+
+    record.plans.resize(r.count(1));
+    for (auto& plan : record.plans) {
+        plan.label = r.str();
+        plan.assignments.resize(r.count(1));
+        for (auto& assignment : plan.assignments) {
+            assignment.buffer = r.str();
+            const std::uint8_t codec = r.u8();
+            if (codec >= data::kNumCodecs)
+                return std::nullopt;
+            assignment.codec = static_cast<data::Codec>(codec);
+            assignment.quant.scale = r.f32();
+            assignment.quant.zero = r.f32();
+            // A corrupt scale must not survive into live packing: int8
+            // decoding multiplies by it on every load.
+            if (assignment.codec == data::Codec::Int8 &&
+                !(std::isfinite(assignment.quant.scale) &&
+                  assignment.quant.scale > 0.0f &&
+                  std::isfinite(assignment.quant.zero)))
+                return std::nullopt;
+        }
+    }
+    if (!r.at_end())
+        return std::nullopt;
+
+    // At most one section, index-aligned with the profiles: every joint
+    // config backs one profile, and the all-exact plan leads.
+    const std::size_t profiles = record.calibration.profiles.size();
+    const bool pipeline =
+        !record.stage_names.empty() || !record.configs.empty();
+    const bool tier = !record.plans.empty();
+    if (pipeline && tier)
+        return std::nullopt;
+    if (pipeline && (record.stage_names.empty() ||
+                     record.configs.size() != profiles))
+        return std::nullopt;
+    if (tier && (record.plans.size() != profiles ||
+                 !record.plans.front().all_exact()))
+        return std::nullopt;
+    return record;
 }
 
 std::vector<std::uint8_t>
@@ -322,15 +399,11 @@ encode_fleet_calibration(const StoreKey& key,
 }
 
 std::optional<FleetCalibrationArtifact>
-decode_fleet_calibration(const std::vector<std::uint8_t>& payload,
-                         const std::string* expected_key,
-                         std::string* key_out)
+decode_fleet_calibration(const StoreKey& key,
+                         const std::vector<std::uint8_t>& payload)
 {
     ByteReader r(payload.data(), payload.size());
-    const std::string embedded = r.str();
-    if (key_out != nullptr)
-        *key_out = embedded;
-    if (expected_key != nullptr && embedded != *expected_key)
+    if (r.str() != key.canonical())
         return std::nullopt;
     FleetCalibrationArtifact artifact;
     artifact.version = r.u64();
@@ -394,180 +467,13 @@ next_lease_token()
     return (static_cast<std::uint64_t>(::getpid()) << 32) ^ serial;
 }
 
-std::vector<std::uint8_t>
-encode_pipeline_calibration(const StoreKey& key,
-                            const PipelineCalibrationArtifact& artifact)
-{
-    ByteWriter w;
-    w.str(key.canonical());
-    w.u64(artifact.stage_names.size());
-    for (const auto& name : artifact.stage_names)
-        w.str(name);
-    w.u64(artifact.configs.size());
-    for (const auto& config : artifact.configs) {
-        w.u64(config.size());
-        for (const auto& label : config)
-            w.str(label);
-    }
-    encode_calibration_state(w, artifact.calibration);
-    w.f64(artifact.toq);
-    w.str(artifact.metric);
-    return w.bytes();
-}
-
-/// Body shared by the store's keyed load and the inspection tool's
-/// unkeyed decode: @p r is positioned just past the canonical key.
-std::optional<PipelineCalibrationArtifact>
-decode_pipeline_calibration_body(ByteReader& r)
-{
-    PipelineCalibrationArtifact artifact;
-    const std::size_t name_count = r.count(1);
-    artifact.stage_names.resize(name_count);
-    for (auto& name : artifact.stage_names)
-        name = r.str();
-    const std::size_t config_count = r.count(1);
-    artifact.configs.resize(config_count);
-    for (auto& config : artifact.configs) {
-        const std::size_t label_count = r.count(1);
-        config.resize(label_count);
-        for (auto& label : config)
-            label = r.str();
-        if (config.size() != artifact.stage_names.size())
-            return std::nullopt;
-    }
-    if (!decode_calibration_state(r, artifact.calibration))
-        return std::nullopt;
-    artifact.toq = r.f64();
-    artifact.metric = r.str();
-    if (!r.at_end())
-        return std::nullopt;
-    // Every joint config must back one calibration profile and the
-    // mandatory all-exact config must exist.
-    if (artifact.configs.empty() ||
-        artifact.configs.size() != artifact.calibration.profiles.size())
-        return std::nullopt;
-    return artifact;
-}
-
-std::optional<PipelineCalibrationArtifact>
-decode_pipeline_calibration(const StoreKey& key,
-                            const std::vector<std::uint8_t>& payload)
-{
-    ByteReader r(payload.data(), payload.size());
-    if (r.str() != key.canonical())
-        return std::nullopt;
-    return decode_pipeline_calibration_body(r);
-}
-
-std::vector<std::uint8_t>
-encode_precision_calibration(const StoreKey& key,
-                             const PrecisionCalibrationArtifact& artifact)
-{
-    ByteWriter w;
-    w.str(key.canonical());
-    w.u64(artifact.plans.size());
-    for (const auto& plan : artifact.plans) {
-        w.str(plan.label);
-        w.u64(plan.assignments.size());
-        for (const auto& assignment : plan.assignments) {
-            w.str(assignment.buffer);
-            w.u8(static_cast<std::uint8_t>(assignment.codec));
-            w.f32(assignment.quant.scale);
-            w.f32(assignment.quant.zero);
-        }
-    }
-    encode_calibration_state(w, artifact.calibration);
-    w.f64(artifact.toq);
-    w.str(artifact.metric);
-    return w.bytes();
-}
-
-/// Body shared by the keyed load and the inspection tool: @p r is
-/// positioned just past the canonical key.
-std::optional<PrecisionCalibrationArtifact>
-decode_precision_calibration_body(ByteReader& r)
-{
-    PrecisionCalibrationArtifact artifact;
-    const std::size_t plan_count = r.count(1);
-    artifact.plans.resize(plan_count);
-    for (auto& plan : artifact.plans) {
-        plan.label = r.str();
-        const std::size_t assignment_count = r.count(1);
-        plan.assignments.resize(assignment_count);
-        for (auto& assignment : plan.assignments) {
-            assignment.buffer = r.str();
-            const std::uint8_t codec = r.u8();
-            if (codec >= data::kNumCodecs)
-                return std::nullopt;
-            assignment.codec = static_cast<data::Codec>(codec);
-            assignment.quant.scale = r.f32();
-            assignment.quant.zero = r.f32();
-            // A corrupt scale must not survive into live packing: int8
-            // decoding multiplies by it on every load.
-            if (assignment.codec == data::Codec::Int8 &&
-                !(std::isfinite(assignment.quant.scale) &&
-                  assignment.quant.scale > 0.0f &&
-                  std::isfinite(assignment.quant.zero)))
-                return std::nullopt;
-        }
-    }
-    if (!decode_calibration_state(r, artifact.calibration))
-        return std::nullopt;
-    artifact.toq = r.f64();
-    artifact.metric = r.str();
-    if (!r.at_end())
-        return std::nullopt;
-    // Plan/profile index alignment, and the all-exact fallback must lead.
-    if (artifact.plans.empty() ||
-        artifact.plans.size() != artifact.calibration.profiles.size() ||
-        !artifact.plans.front().all_exact())
-        return std::nullopt;
-    return artifact;
-}
-
-std::optional<PrecisionCalibrationArtifact>
-decode_precision_calibration(const StoreKey& key,
-                             const std::vector<std::uint8_t>& payload)
-{
-    ByteReader r(payload.data(), payload.size());
-    if (r.str() != key.canonical())
-        return std::nullopt;
-    return decode_precision_calibration_body(r);
-}
-
 }  // namespace
 
-std::optional<PipelineCalibrationArtifact>
-inspect_pipeline_calibration(const std::vector<std::uint8_t>& payload,
-                             std::string* key_out)
+std::optional<CalibrationRecord>
+inspect_calibration(const std::vector<std::uint8_t>& payload,
+                    std::string* key_out)
 {
-    ByteReader r(payload.data(), payload.size());
-    const std::string key = r.str();
-    if (!r.ok())
-        return std::nullopt;
-    if (key_out)
-        *key_out = key;
-    return decode_pipeline_calibration_body(r);
-}
-
-std::optional<PrecisionCalibrationArtifact>
-inspect_precision_calibration(const std::vector<std::uint8_t>& payload,
-                              std::string* key_out)
-{
-    ByteReader r(payload.data(), payload.size());
-    const std::string key = r.str();
-    if (!r.ok())
-        return std::nullopt;
-    if (key_out)
-        *key_out = key;
-    return decode_precision_calibration_body(r);
-}
-
-std::optional<FleetCalibrationArtifact>
-inspect_fleet_calibration(const std::vector<std::uint8_t>& payload,
-                          std::string* key_out)
-{
-    return decode_fleet_calibration(payload, nullptr, key_out);
+    return decode_calibration(payload, nullptr, key_out);
 }
 
 // ---- StoreKey --------------------------------------------------------------
@@ -683,66 +589,25 @@ ArtifactStore::save_table(const StoreKey& key,
                         encode_table(key, table));
 }
 
-std::optional<CalibrationArtifact>
+std::optional<CalibrationRecord>
 ArtifactStore::load_calibration(const StoreKey& key) const
 {
     const auto payload = load_payload(key, ArtifactKind::Calibration);
     if (!payload)
         return std::nullopt;
-    auto calibration = decode_calibration(key, *payload);
-    (calibration ? hits_ : corrupt_rejects_)
+    const std::string canonical = key.canonical();
+    auto record = decode_calibration(*payload, &canonical, nullptr);
+    (record ? hits_ : corrupt_rejects_)
         .fetch_add(1, std::memory_order_relaxed);
-    return calibration;
+    return record;
 }
 
 bool
 ArtifactStore::save_calibration(const StoreKey& key,
-                                const CalibrationArtifact& calibration) const
+                                const CalibrationRecord& record) const
 {
     return save_payload(key, ArtifactKind::Calibration,
-                        encode_calibration(key, calibration));
-}
-
-std::optional<PipelineCalibrationArtifact>
-ArtifactStore::load_pipeline_calibration(const StoreKey& key) const
-{
-    const auto payload =
-        load_payload(key, ArtifactKind::PipelineCalibration);
-    if (!payload)
-        return std::nullopt;
-    auto artifact = decode_pipeline_calibration(key, *payload);
-    (artifact ? hits_ : corrupt_rejects_)
-        .fetch_add(1, std::memory_order_relaxed);
-    return artifact;
-}
-
-bool
-ArtifactStore::save_pipeline_calibration(
-    const StoreKey& key, const PipelineCalibrationArtifact& artifact) const
-{
-    return save_payload(key, ArtifactKind::PipelineCalibration,
-                        encode_pipeline_calibration(key, artifact));
-}
-
-std::optional<PrecisionCalibrationArtifact>
-ArtifactStore::load_precision_calibration(const StoreKey& key) const
-{
-    const auto payload =
-        load_payload(key, ArtifactKind::PrecisionCalibration);
-    if (!payload)
-        return std::nullopt;
-    auto artifact = decode_precision_calibration(key, *payload);
-    (artifact ? hits_ : corrupt_rejects_)
-        .fetch_add(1, std::memory_order_relaxed);
-    return artifact;
-}
-
-bool
-ArtifactStore::save_precision_calibration(
-    const StoreKey& key, const PrecisionCalibrationArtifact& artifact) const
-{
-    return save_payload(key, ArtifactKind::PrecisionCalibration,
-                        encode_precision_calibration(key, artifact));
+                        encode_calibration(key, record));
 }
 
 std::optional<FleetCalibrationArtifact>
@@ -751,8 +616,7 @@ ArtifactStore::load_fleet_calibration(const StoreKey& key) const
     const auto payload = load_payload(key, ArtifactKind::FleetCalibration);
     if (!payload)
         return std::nullopt;
-    const std::string canonical = key.canonical();
-    auto artifact = decode_fleet_calibration(*payload, &canonical, nullptr);
+    auto artifact = decode_fleet_calibration(key, *payload);
     (artifact ? hits_ : corrupt_rejects_)
         .fetch_add(1, std::memory_order_relaxed);
     return artifact;

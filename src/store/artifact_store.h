@@ -12,8 +12,9 @@
 ///   - memo::LookupTable contents with their TableConfig bit assignment,
 ///     consulted by core::compile_kernel before find_table_for_toq;
 ///   - calibrated runtime::VariantProfile sets with the fallback order
-///     and selection, restored into a Tuner by runtime::warm_tuner (which
-///     serve::ApproxService::register_kernel calls).
+///     and selection, plus the section that rebuilds a pipeline's or a
+///     data tier's variants, restored into a Tuner by runtime::warm_tuner
+///     (which serve::ApproxService::register_family calls).
 ///
 /// Records are keyed by ir::fingerprint(module) x kernel name x
 /// device-model id x TOQ x metric x store-format version (StoreKey); the
@@ -67,36 +68,27 @@ struct StoreStats {
     std::uint64_t write_failures = 0;
 };
 
-/// A persisted calibration: what Tuner::calibration_state() captures and
-/// Tuner::restore_calibration() re-validates and installs.
-using CalibrationArtifact = runtime::CalibrationState;
+/// A persisted variant-family calibration: what
+/// Tuner::calibration_state() captures and Tuner::restore_calibration()
+/// re-validates and installs, plus at most one section describing the
+/// family's variants so a warm start can rebuild them without a search.
+/// A plain kernel family carries no section.  Both sections are
+/// index-aligned with calibration.profiles.
+struct CalibrationRecord {
+    runtime::CalibrationState calibration;
+    double toq = 0.0;
+    std::string metric;
 
-/// A persisted joint pipeline calibration: the searched plan (per-stage
-/// member labels of every surviving joint config, index-aligned with the
-/// calibration's profiles) plus the tuner state over it.  Restoring one
-/// rebuilds the joint variant list without any cost probes and installs
-/// the calibration — a warm start skips the joint search entirely.
-struct PipelineCalibrationArtifact {
-    std::vector<std::string> stage_names;
+    /// Pipeline section (empty otherwise): the chain's stage names, and
     /// configs[i][s] = member label of stage s in joint config i;
     /// configs[0] is the all-exact config.
+    std::vector<std::string> stage_names;
     std::vector<std::vector<std::string>> configs;
-    runtime::CalibrationState calibration;
-    double toq = 0.0;
-    std::string metric;
-};
 
-/// A persisted data-tier precision calibration: every enumerated
-/// per-buffer codec plan (plans[0] is the mandatory all-exact fallback,
-/// with no assignments) with its fitted int8 quantization parameters,
-/// plus the tuner state over them, index-aligned plan <-> profile.
-/// Restoring one rebuilds the precision variant list without traffic
-/// profiling, quantization fitting, or any calibration runs.
-struct PrecisionCalibrationArtifact {
+    /// Data-tier section (empty otherwise): every enumerated per-buffer
+    /// codec plan with its fitted int8 parameters; plans[0] is the
+    /// mandatory all-exact fallback, with no assignments.
     std::vector<data::PrecisionPlan> plans;
-    runtime::CalibrationState calibration;
-    double toq = 0.0;
-    std::string metric;
 };
 
 /// A fleet-shared calibration, published once per drift event by the
@@ -139,22 +131,28 @@ class ArtifactStore {
     bool save_table(const StoreKey& key,
                     const memo::LookupTable& table) const;
 
-    std::optional<CalibrationArtifact>
+    std::optional<CalibrationRecord>
     load_calibration(const StoreKey& key) const;
     bool save_calibration(const StoreKey& key,
-                          const CalibrationArtifact& calibration) const;
+                          const CalibrationRecord& record) const;
 
-    std::optional<PipelineCalibrationArtifact>
-    load_pipeline_calibration(const StoreKey& key) const;
-    bool save_pipeline_calibration(
-        const StoreKey& key,
-        const PipelineCalibrationArtifact& artifact) const;
+    /// load_calibration() under its pre-merge name.  perfbench is the
+    /// only caller; the benchmark change that migrates perfbench
+    /// deletes it.
+    std::optional<CalibrationRecord>
+    load_pipeline_calibration(const StoreKey& key) const
+    {
+        return load_calibration(key);
+    }
 
-    std::optional<PrecisionCalibrationArtifact>
-    load_precision_calibration(const StoreKey& key) const;
-    bool save_precision_calibration(
-        const StoreKey& key,
-        const PrecisionCalibrationArtifact& artifact) const;
+    /// load_calibration() under its pre-merge name.  perfbench is the
+    /// only caller; the benchmark change that migrates perfbench
+    /// deletes it.
+    std::optional<CalibrationRecord>
+    load_precision_calibration(const StoreKey& key) const
+    {
+        return load_calibration(key);
+    }
 
     // ---- Scale-out calibration plane ---------------------------------
 
@@ -258,22 +256,11 @@ class ArtifactStore {
 StoreKey program_key(std::uint64_t fingerprint,
                      const std::string& kernel_name);
 
-/// Decode a pipeline-calibration payload without knowing its key (the
-/// embedded canonical key is reported through @p key_out instead of
-/// verified) — for inspection tools rendering arbitrary records.
-std::optional<PipelineCalibrationArtifact>
-inspect_pipeline_calibration(const std::vector<std::uint8_t>& payload,
-                             std::string* key_out);
-
-/// Unkeyed decode of a precision-calibration payload, for inspection
-/// tools rendering arbitrary records.
-std::optional<PrecisionCalibrationArtifact>
-inspect_precision_calibration(const std::vector<std::uint8_t>& payload,
-                              std::string* key_out);
-
-/// Unkeyed decode of a fleet-calibration payload, for inspection tools.
-std::optional<FleetCalibrationArtifact>
-inspect_fleet_calibration(const std::vector<std::uint8_t>& payload,
-                          std::string* key_out);
+/// Decode a calibration payload without knowing its key (the embedded
+/// canonical key is reported through @p key_out instead of verified) —
+/// for inspection tools rendering arbitrary records.
+std::optional<CalibrationRecord>
+inspect_calibration(const std::vector<std::uint8_t>& payload,
+                    std::string* key_out);
 
 }  // namespace paraprox::store

@@ -25,7 +25,7 @@ namespace paraprox::store {
 /// Bumped whenever any payload layout changes; records written by other
 /// versions are misses (the issue's invalidation rule: version mismatch
 /// never deserializes).
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 
 /// "PPXS" little-endian.
 constexpr std::uint32_t kMagic = 0x53585050u;
@@ -34,16 +34,12 @@ constexpr std::uint32_t kMagic = 0x53585050u;
 enum class ArtifactKind : std::uint32_t {
     Program = 1,      ///< vm::Program bytecode (canonical + fast streams).
     Table = 2,        ///< memo::LookupTable + TableConfig bit assignment.
-    Calibration = 3,  ///< VariantProfile set + fallback order + selection.
-    /// Joint pipeline calibration: stage names, the per-stage member
-    /// labels of every surviving joint config, and the tuner state over
-    /// them.  Restoring one skips the joint search entirely.
-    PipelineCalibration = 4,
-    /// Data-tier precision calibration: every enumerated per-buffer
-    /// storage-codec plan (with its int8 quantization parameters) plus
-    /// the tuner state over them.  Restoring one skips the traffic
-    /// profiling, quantization fitting, and precision search entirely.
-    PrecisionCalibration = 5,
+    /// A variant family's calibration: VariantProfile set + fallback
+    /// order + selection, plus the optional section (a pipeline's joint
+    /// configs or a data tier's precision plans) that rebuilds the
+    /// family's variants without a search.  (4 and 5 named retired
+    /// per-family kinds; they stay unused.)
+    Calibration = 3,
     /// Fleet-shared calibration published by the scale-out plane: a
     /// monotonically versioned CalibrationState plus the quarantine
     /// verdicts in force when it was published.  Replicas adopt a newer

@@ -658,8 +658,11 @@ TEST_F(ChaosDataTest, ServiceContainsBitflippedDataTier)
     config.num_workers = 2;
     config.monitor.shadow_interval = 1;  // Shadow every request.
     ApproxService service(config);
-    service.register_data_kernel("dscale", fx.session, fx.plan,
-                                 Metric::MeanRelativeError, 90.0, seeds);
+    service.register_family(
+        "dscale",
+        runtime::data_tier_family(fx.session, fx.plan,
+                                  Metric::MeanRelativeError, 90.0),
+        Metric::MeanRelativeError, 90.0, seeds);
     // Calibration ran clean; a packed plan wins on modeled traffic.
     ASSERT_NE(service.kernel_snapshot("dscale").selected, "exact");
 

@@ -712,24 +712,28 @@ TEST(DataTierTest, WarmRestartRestoresPlansWithZeroResearch)
     int cold_selected = 0;
     {
         TierFixture fx;
-        const runtime::WarmDataTuner cold = runtime::warm_data_tuner(
-            fx.session, fx.plan, runtime::Metric::MeanRelativeError,
-            seeds, 90.0);
+        const runtime::WarmTuner cold = runtime::warm_tuner(
+            runtime::data_tier_family(fx.session, fx.plan,
+                                      runtime::Metric::MeanRelativeError,
+                                      90.0),
+            runtime::Metric::MeanRelativeError, 90.0, seeds);
         EXPECT_FALSE(cold.warm);
-        ASSERT_GE(cold.plans.size(), 2u);
-        for (const auto& plan : cold.plans)
+        ASSERT_GE(cold.record.plans.size(), 2u);
+        for (const auto& plan : cold.record.plans)
             cold_labels.push_back(plan.label);
         cold_selected = cold.tuner->selected_index();
     }
     {
         TierFixture fx;
-        const runtime::WarmDataTuner warm = runtime::warm_data_tuner(
-            fx.session, fx.plan, runtime::Metric::MeanRelativeError,
-            seeds, 90.0);
+        const runtime::WarmTuner warm = runtime::warm_tuner(
+            runtime::data_tier_family(fx.session, fx.plan,
+                                      runtime::Metric::MeanRelativeError,
+                                      90.0),
+            runtime::Metric::MeanRelativeError, 90.0, seeds);
         EXPECT_TRUE(warm.warm);
-        ASSERT_EQ(warm.plans.size(), cold_labels.size());
-        for (std::size_t i = 0; i < warm.plans.size(); ++i)
-            EXPECT_EQ(warm.plans[i].label, cold_labels[i]);
+        ASSERT_EQ(warm.record.plans.size(), cold_labels.size());
+        for (std::size_t i = 0; i < warm.record.plans.size(); ++i)
+            EXPECT_EQ(warm.record.plans[i].label, cold_labels[i]);
         EXPECT_EQ(warm.tuner->selected_index(), cold_selected);
         // The restored tuner serves immediately.
         const runtime::VariantRun run = warm.tuner->invoke(5);

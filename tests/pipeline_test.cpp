@@ -316,14 +316,15 @@ TEST(PipelineStoreTest, CalibrationRoundTripAndCorruptionMiss)
     vm::ProgramCache::global().clear();
 
     PipelineSession cold = make_image_session();
-    auto warm = cold.warm_tuner(Metric::L1Norm, {kSeedA, kSeedB}, 90.0, 10);
+    auto warm = warm_tuner(cold.family(Metric::L1Norm, 90.0), Metric::L1Norm,
+                           90.0, {kSeedA, kSeedB}, 10);
     ASSERT_TRUE(warm.tuner != nullptr);
     EXPECT_FALSE(warm.warm);
 
     const auto key = cold.calibration_key(Metric::L1Norm, 90.0);
     const auto store = store::ArtifactStore::global();
     ASSERT_TRUE(store != nullptr);
-    const auto loaded = store->load_pipeline_calibration(key);
+    const auto loaded = store->load_calibration(key);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->stage_names, cold.stage_names());
     EXPECT_DOUBLE_EQ(loaded->toq, 90.0);
@@ -334,10 +335,21 @@ TEST(PipelineStoreTest, CalibrationRoundTripAndCorruptionMiss)
     for (const auto& label : loaded->configs[0])
         EXPECT_EQ(label, "exact");
 
-    // inspect_pipeline_calibration (the tools/ path) decodes the same
-    // payload without an ArtifactStore.
-    const auto path =
-        store->path_for(key, store::ArtifactKind::PipelineCalibration);
+    EXPECT_TRUE(loaded->plans.empty());
+
+    // A record for other stage names (a renamed stage, same labels) is
+    // refused by the family's rebuild: the next start searches cold.
+    store::CalibrationRecord renamed = *loaded;
+    renamed.stage_names[0] = "smooth";
+    ASSERT_TRUE(store->save_calibration(key, renamed));
+    PipelineSession restarted = make_image_session();
+    const auto probes_before = joint_search_measurements();
+    EXPECT_FALSE(warm_tuner(restarted.family(Metric::L1Norm, 90.0),
+                            Metric::L1Norm, 90.0, {kSeedA, kSeedB}, 10)
+                     .warm);
+    EXPECT_GT(joint_search_measurements(), probes_before);
+
+    const auto path = store->path_for(key, store::ArtifactKind::Calibration);
     ASSERT_TRUE(std::filesystem::exists(path));
 
     // A flipped bit anywhere makes the record a miss, not garbage.
@@ -351,7 +363,7 @@ TEST(PipelineStoreTest, CalibrationRoundTripAndCorruptionMiss)
     bytes[bytes.size() / 2] ^= 0x40;
     std::ofstream(path, std::ios::binary | std::ios::trunc)
         .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    EXPECT_FALSE(store->load_pipeline_calibration(key).has_value());
+    EXPECT_FALSE(store->load_calibration(key).has_value());
 
     store::ArtifactStore::disable_global();
     vm::ProgramCache::global().clear();
@@ -365,7 +377,9 @@ TEST(PipelineStoreTest, WarmStartSkipsJointSearch)
 
     PipelineSession cold = make_image_session();
     const auto probes_before_cold = joint_search_measurements();
-    auto cold_result = cold.warm_tuner(Metric::L1Norm, seeds, 90.0, 10);
+    auto cold_result =
+        warm_tuner(cold.family(Metric::L1Norm, 90.0), Metric::L1Norm, 90.0,
+                   seeds, 10);
     EXPECT_FALSE(cold_result.warm);
     EXPECT_GT(joint_search_measurements(), probes_before_cold);
     const std::string cold_selection = cold_result.tuner->selected_label();
@@ -376,7 +390,9 @@ TEST(PipelineStoreTest, WarmStartSkipsJointSearch)
 
     PipelineSession warm = make_image_session();
     const auto probes_before_warm = joint_search_measurements();
-    auto warm_result = warm.warm_tuner(Metric::L1Norm, seeds, 90.0, 10);
+    auto warm_result =
+        warm_tuner(warm.family(Metric::L1Norm, 90.0), Metric::L1Norm, 90.0,
+                   seeds, 10);
     EXPECT_TRUE(warm_result.warm);
     EXPECT_EQ(joint_search_measurements(), probes_before_warm)
         << "warm start must run zero joint-search probes";
@@ -406,8 +422,8 @@ TEST(PipelineServeTest, RegisterPipelineServesAndAttributesStages)
     serve::ApproxService service(config);
 
     PipelineSession session = make_image_session();
-    service.register_pipeline("edges", session, Metric::L1Norm, 90.0,
-                              {kSeedA, kSeedB});
+    service.register_family("edges", session.family(Metric::L1Norm, 90.0),
+                            Metric::L1Norm, 90.0, {kSeedA, kSeedB});
 
     std::vector<std::future<serve::Response>> responses;
     for (int i = 0; i < 8; ++i) {
@@ -445,8 +461,8 @@ TEST(PipelineServeTest, SecondRegistrationIsWarm)
         config.num_workers = 2;
         serve::ApproxService service(config);
         PipelineSession session = make_image_session();
-        service.register_pipeline(name, session, Metric::L1Norm, 90.0,
-                                  {kSeedA, kSeedB});
+        service.register_family(name, session.family(Metric::L1Norm, 90.0),
+                                Metric::L1Norm, 90.0, {kSeedA, kSeedB});
         auto ticket = service.submit(name, 500);
         EXPECT_TRUE(ticket.accepted);
         if (ticket.accepted)
@@ -480,8 +496,8 @@ TEST(PipelineServeTest, WarmRegistrationAlignsSessionConfigs)
     {
         serve::ApproxService cold(serve::ServiceConfig{});
         PipelineSession session = make_image_session();
-        cold.register_pipeline("edges", session, Metric::L1Norm, 90.0,
-                               {kSeedA, kSeedB});
+        cold.register_family("edges", session.family(Metric::L1Norm, 90.0),
+                             Metric::L1Norm, 90.0, {kSeedA, kSeedB});
         EXPECT_EQ(cold.metrics().warm_pipelines.load(), 0u);
         cold.stop();
     }
@@ -489,8 +505,8 @@ TEST(PipelineServeTest, WarmRegistrationAlignsSessionConfigs)
     vm::ProgramCache::global().clear();
     serve::ApproxService warm(serve::ServiceConfig{});
     PipelineSession session = make_image_session();
-    warm.register_pipeline("edges", session, Metric::L1Norm, 90.0,
-                           {kSeedA, kSeedB});
+    warm.register_family("edges", session.family(Metric::L1Norm, 90.0),
+                         Metric::L1Norm, 90.0, {kSeedA, kSeedB});
     EXPECT_EQ(warm.metrics().warm_pipelines.load(), 1u);
     ASSERT_FALSE(session.configs().empty());
     EXPECT_EQ(session.configs().size(),

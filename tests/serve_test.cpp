@@ -783,6 +783,70 @@ TEST(ApproxServiceTest, ServedByNamesTheVariantThatRan)
     service.drain();
 }
 
+TEST(ApproxServiceTest, ExactDetoursNameTheFamilysExactVariant)
+{
+    // Exact re-serves (recalibration, awaiting adoption, half-open probes,
+    // watchdog fallbacks) used to report the literal "exact", which names
+    // no variant of a family whose exact member is labelled otherwise —
+    // a pipeline's reads "blur=exact | sobel=exact | ...".  served_by
+    // must name variants[0], as trap fallbacks already do.
+    ApproxService service(small_service(1, 8));
+    std::vector<Variant> variants;
+    variants.push_back(fake_variant("reference", 0, 0.0f, 1000.0));
+    variants.push_back(fake_variant("good", 1, 0.1f, 100.0));
+    service.register_kernel("k", std::move(variants),
+                            Metric::MeanRelativeError, 90.0, {1, 2, 3});
+    ASSERT_EQ(service.kernel_snapshot("k").selected, "good");
+
+    // A peer owns the drift event: this replica serves exact until it
+    // adopts the peer's publish.
+    service.set_recalibration_gate([](const std::string&) {
+        return RecalibrationDecision::AwaitAdoption;
+    });
+    service.recalibrate_kernel("k");
+    ASSERT_TRUE(service.awaiting_adoption("k"));
+
+    Ticket ticket = service.submit("k", 5);
+    ASSERT_TRUE(ticket.accepted);
+    const Response response = ticket.response.get();
+    EXPECT_EQ(response.served_by, "reference");
+    EXPECT_EQ(response.run.output,
+              fake_variant("reference", 0, 0.0f, 1000.0).run(5).output);
+    service.stop();
+}
+
+TEST(ApproxServiceTest, FailedShadowAuditServesTheExactOutput)
+{
+    // A shadowed request whose audit misses the TOQ already holds the
+    // exact output; the client must get it, labelled as the exact
+    // variant, not the approximate output that failed the audit.
+    ApproxService service(small_service(1, 64));
+    std::vector<Variant> variants;
+    variants.push_back(fake_variant("exact", 0, 0.0f, 1000.0));
+    variants.push_back(drifting_variant("drifty", 10.0));
+    service.register_kernel("k", std::move(variants),
+                            Metric::MeanRelativeError, 90.0, {1, 2, 3});
+    ASSERT_EQ(service.kernel_snapshot("k").selected, "drifty");
+
+    // Drifted seeds, one at a time: the monitor shadows every third.
+    bool audited = false;
+    for (std::uint64_t seed = 100; seed < 103 && !audited; ++seed) {
+        Ticket ticket = service.submit("k", seed);
+        ASSERT_TRUE(ticket.accepted);
+        const Response response = ticket.response.get();
+        if (!response.shadowed)
+            continue;
+        audited = true;
+        EXPECT_LT(response.shadow_quality, 90.0);
+        EXPECT_EQ(response.served_by, "exact");
+        EXPECT_EQ(response.run.output,
+                  fake_variant("exact", 0, 0.0f, 1000.0).run(seed).output);
+    }
+    EXPECT_TRUE(audited);
+    EXPECT_EQ(service.metrics().snapshot().shadow_violations, 1u);
+    service.stop();
+}
+
 TEST(ApproxServiceTest, WarmRegistrationRestoresCalibration)
 {
     namespace fs = std::filesystem;

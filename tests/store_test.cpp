@@ -1,7 +1,8 @@
-// Tests for the on-disk artifact store: byte-exact round trips for all
-// three artifact kinds, corruption (truncation, bit flips, version bumps,
-// key-echo mismatches) degrading to a plain miss without crashing, and
-// the warm-start path selecting the same variant a cold calibration does
+// Tests for the on-disk artifact store: byte-exact round trips for
+// programs, tables and every shape of calibration record, corruption
+// (truncation, bit flips, version bumps, key-echo mismatches, hostile
+// sections) degrading to a plain miss without crashing, and the
+// warm-start path selecting the same variant a cold calibration does
 // while skipping compilation, table search, and the profiling sweep.
 
 #include <gtest/gtest.h>
@@ -9,6 +10,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "device/memory_model.h"
@@ -133,10 +136,10 @@ sample_table()
     return table;
 }
 
-CalibrationArtifact
+runtime::CalibrationState
 sample_calibration()
 {
-    CalibrationArtifact calibration;
+    runtime::CalibrationState calibration;
     calibration.profiles = {
         {"exact", 1.0, 1.0, 100.0, true, false},
         {"memo8", 3.5, 2.1, 96.25, true, false},
@@ -148,16 +151,36 @@ sample_calibration()
     return calibration;
 }
 
-PrecisionCalibrationArtifact
+/// A plain kernel family's record: no section.
+CalibrationRecord
+sample_record()
+{
+    CalibrationRecord record;
+    record.calibration = sample_calibration();
+    record.toq = 90.0;
+    record.metric = "Mean relative error";
+    return record;
+}
+
+/// A pipeline's record: one joint config per profile, all-exact first.
+CalibrationRecord
+sample_pipeline_calibration()
+{
+    CalibrationRecord record = sample_record();
+    record.stage_names = {"blur", "sobel"};
+    record.configs = {{"exact", "exact"},
+                      {"stencil row rd=1", "exact"},
+                      {"exact", "stencil row rd=1"},
+                      {"stencil row rd=1", "stencil row rd=1"}};
+    return record;
+}
+
+CalibrationRecord
 sample_precision_calibration()
 {
     // Plans must be index-aligned with the calibration profiles and lead
     // with the all-exact plan (the decoder rejects anything else).
-    PrecisionCalibrationArtifact artifact;
-    artifact.calibration = sample_calibration();
-    artifact.toq = 90.0;
-    artifact.metric = "Mean relative error";
-
+    CalibrationRecord record = sample_record();
     data::PrecisionPlan exact;
     exact.label = "exact";
     data::PrecisionPlan uniform;
@@ -171,8 +194,72 @@ sample_precision_calibration()
     data::PrecisionPlan narrow;
     narrow.label = "data[out:fp24]";
     narrow.assignments.push_back({"out", data::Codec::Fp24, {}});
-    artifact.plans = {exact, uniform, quantized, narrow};
-    return artifact;
+    record.plans = {exact, uniform, quantized, narrow};
+    return record;
+}
+
+void
+rewrite_file(const std::filesystem::path& path,
+             const std::vector<std::uint8_t>& bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The corruption matrix over one calibration record: truncation at
+/// every stratum, bit flips across the record, and pure garbage must
+/// each read as a counted miss, never a crash or a partial decode.
+void
+expect_corruption_is_miss(const ArtifactStore& store, const StoreKey& key,
+                          const CalibrationRecord& record)
+{
+    ASSERT_TRUE(store.save_calibration(key, record));
+    ASSERT_TRUE(store.load_calibration(key).has_value());
+    const auto path = store.path_for(key, ArtifactKind::Calibration);
+    const auto pristine = read_file_bytes(path);
+    ASSERT_TRUE(pristine.has_value());
+    const std::uint64_t rejects_before = store.stats().corrupt_rejects;
+
+    for (const std::size_t keep :
+         {std::size_t{0}, std::size_t{7}, std::size_t{31},
+          pristine->size() / 2, pristine->size() - 1}) {
+        auto truncated = *pristine;
+        truncated.resize(keep);
+        rewrite_file(path, truncated);
+        EXPECT_FALSE(store.load_calibration(key).has_value())
+            << "truncated to " << keep;
+    }
+    for (const std::size_t offset :
+         {std::size_t{0}, std::size_t{9}, std::size_t{17}, std::size_t{40},
+          pristine->size() / 2, pristine->size() - 1}) {
+        auto corrupted = *pristine;
+        corrupted[offset] ^= 0x20;
+        rewrite_file(path, corrupted);
+        EXPECT_FALSE(store.load_calibration(key).has_value())
+            << "bit flip at " << offset;
+    }
+    Rng rng(23);
+    for (const std::size_t size :
+         {std::size_t{1}, std::size_t{33}, std::size_t{512}}) {
+        std::vector<std::uint8_t> junk(size);
+        for (auto& byte : junk)
+            byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+        rewrite_file(path, junk);
+        EXPECT_FALSE(store.load_calibration(key).has_value())
+            << size << " bytes of garbage";
+    }
+    EXPECT_GT(store.stats().corrupt_rejects, rejects_before);
+}
+
+/// A structurally plausible, correctly framed @p record must still be
+/// refused by the decoder.
+void
+expect_rejected(const ArtifactStore& store, const StoreKey& key,
+                const CalibrationRecord& record)
+{
+    ASSERT_TRUE(store.save_calibration(key, record));
+    EXPECT_FALSE(store.load_calibration(key).has_value());
 }
 
 // ---- Round trips ------------------------------------------------------------
@@ -222,17 +309,24 @@ TEST(StoreTest, CalibrationRoundTrip)
     const ArtifactStore store(fresh_dir("calibration-roundtrip"));
     StoreKey key = test_key("calibration");
     key.metric = "Mean relative error";
-    const CalibrationArtifact original = sample_calibration();
+    const CalibrationRecord original = sample_record();
     ASSERT_TRUE(store.save_calibration(key, original));
 
     const auto loaded = store.load_calibration(key);
     ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->fallback_order, original.fallback_order);
-    EXPECT_EQ(loaded->selected, original.selected);
-    ASSERT_EQ(loaded->profiles.size(), original.profiles.size());
-    for (std::size_t i = 0; i < original.profiles.size(); ++i) {
-        const auto& want = original.profiles[i];
-        const auto& got = loaded->profiles[i];
+    EXPECT_DOUBLE_EQ(loaded->toq, original.toq);
+    EXPECT_EQ(loaded->metric, original.metric);
+    EXPECT_TRUE(loaded->stage_names.empty());
+    EXPECT_TRUE(loaded->configs.empty());
+    EXPECT_TRUE(loaded->plans.empty());
+    const auto& want_state = original.calibration;
+    const auto& got_state = loaded->calibration;
+    EXPECT_EQ(got_state.fallback_order, want_state.fallback_order);
+    EXPECT_EQ(got_state.selected, want_state.selected);
+    ASSERT_EQ(got_state.profiles.size(), want_state.profiles.size());
+    for (std::size_t i = 0; i < want_state.profiles.size(); ++i) {
+        const auto& want = want_state.profiles[i];
+        const auto& got = got_state.profiles[i];
         EXPECT_EQ(got.label, want.label);
         EXPECT_DOUBLE_EQ(got.speedup, want.speedup);
         EXPECT_DOUBLE_EQ(got.wall_speedup, want.wall_speedup);
@@ -240,6 +334,15 @@ TEST(StoreTest, CalibrationRoundTrip)
         EXPECT_EQ(got.meets_toq, want.meets_toq);
         EXPECT_EQ(got.trapped, want.trapped);
     }
+
+    // The pipeline section round-trips under the same record kind.
+    const CalibrationRecord pipeline = sample_pipeline_calibration();
+    ASSERT_TRUE(store.save_calibration(key, pipeline));
+    const auto joint = store.load_calibration(key);
+    ASSERT_TRUE(joint.has_value());
+    EXPECT_EQ(joint->stage_names, pipeline.stage_names);
+    EXPECT_EQ(joint->configs, pipeline.configs);
+    EXPECT_TRUE(joint->plans.empty());
 }
 
 TEST(StoreTest, PrecisionCalibrationRoundTrip)
@@ -247,11 +350,10 @@ TEST(StoreTest, PrecisionCalibrationRoundTrip)
     const ArtifactStore store(fresh_dir("precision-roundtrip"));
     StoreKey key = test_key("data-tier");
     key.metric = "Mean relative error";
-    const PrecisionCalibrationArtifact original =
-        sample_precision_calibration();
-    ASSERT_TRUE(store.save_precision_calibration(key, original));
+    const CalibrationRecord original = sample_precision_calibration();
+    ASSERT_TRUE(store.save_calibration(key, original));
 
-    const auto loaded = store.load_precision_calibration(key);
+    const auto loaded = store.load_calibration(key);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_DOUBLE_EQ(loaded->toq, original.toq);
     EXPECT_EQ(loaded->metric, original.metric);
@@ -356,7 +458,7 @@ TEST(StoreTest, KindConfusionIsMiss)
     const ArtifactStore store(fresh_dir("kind-confusion"));
     StoreKey calib_key = test_key("calibration");
     calib_key.metric = "L1";
-    ASSERT_TRUE(store.save_calibration(calib_key, sample_calibration()));
+    ASSERT_TRUE(store.save_calibration(calib_key, sample_record()));
 
     const StoreKey table_key = test_key("memo:f#0");
     std::filesystem::copy_file(
@@ -404,70 +506,83 @@ TEST(StoreTest, GarbageFilesNeverCrash)
     }
 }
 
+TEST(StoreTest, CorruptKernelCalibrationIsMissNeverCrash)
+{
+    const ArtifactStore store(fresh_dir("kernel-corrupt"));
+    StoreKey key = test_key("calibration");
+    key.metric = "L2";
+    expect_corruption_is_miss(store, key, sample_record());
+}
+
+TEST(StoreTest, CorruptPipelineCalibrationIsMissNeverCrash)
+{
+    const ArtifactStore store(fresh_dir("pipeline-corrupt"));
+    StoreKey key = test_key("pipeline:blur>sobel");
+    key.metric = "L1";
+    expect_corruption_is_miss(store, key, sample_pipeline_calibration());
+
+    // A joint config whose arity differs from the stage count.
+    CalibrationRecord hostile = sample_pipeline_calibration();
+    hostile.configs[2].push_back("exact");
+    expect_rejected(store, key, hostile);
+    // Configs not index-aligned with the profiles.
+    hostile = sample_pipeline_calibration();
+    hostile.configs.pop_back();
+    expect_rejected(store, key, hostile);
+    // Configs without the stage names that give them meaning.
+    hostile = sample_pipeline_calibration();
+    hostile.stage_names.clear();
+    for (auto& config : hostile.configs)
+        config.clear();
+    expect_rejected(store, key, hostile);
+}
+
 TEST(StoreTest, CorruptPrecisionCalibrationIsMissNeverCrash)
 {
-    // The full corruption matrix against the precision-calibration kind:
-    // truncation at every stratum, bit flips across the record, pure
-    // garbage, and a semantically-hostile record (plans[0] not exact).
+    // The full corruption matrix against a record with a plans section,
+    // plus every semantically hostile plan the decoder must refuse.
     const ArtifactStore store(fresh_dir("precision-corrupt"));
     StoreKey key = test_key("data-tier");
     key.metric = "L2";
-    ASSERT_TRUE(store.save_precision_calibration(
-        key, sample_precision_calibration()));
-    const auto path =
-        store.path_for(key, ArtifactKind::PrecisionCalibration);
-    const auto pristine = read_file_bytes(path);
-    ASSERT_TRUE(pristine.has_value());
-    const auto rewrite = [&](const std::vector<std::uint8_t>& bytes) {
-        std::ofstream(path, std::ios::binary | std::ios::trunc)
-            .write(reinterpret_cast<const char*>(bytes.data()),
-                   static_cast<std::streamsize>(bytes.size()));
-    };
+    expect_corruption_is_miss(store, key, sample_precision_calibration());
 
-    for (const std::size_t keep :
-         {std::size_t{0}, std::size_t{7}, std::size_t{31},
-          pristine->size() / 2, pristine->size() - 1}) {
-        auto truncated = *pristine;
-        truncated.resize(keep);
-        rewrite(truncated);
-        EXPECT_FALSE(store.load_precision_calibration(key).has_value())
-            << "truncated to " << keep;
-    }
-    for (const std::size_t offset :
-         {std::size_t{0}, std::size_t{9}, std::size_t{17}, std::size_t{40},
-          pristine->size() / 2, pristine->size() - 1}) {
-        auto corrupted = *pristine;
-        corrupted[offset] ^= 0x20;
-        rewrite(corrupted);
-        EXPECT_FALSE(store.load_precision_calibration(key).has_value())
-            << "bit flip at " << offset;
-    }
-    Rng rng(23);
-    for (const std::size_t size :
-         {std::size_t{1}, std::size_t{33}, std::size_t{512}}) {
-        std::vector<std::uint8_t> junk(size);
-        for (auto& byte : junk)
-            byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-        rewrite(junk);
-        EXPECT_FALSE(store.load_precision_calibration(key).has_value())
-            << size << " bytes of garbage";
-    }
-    EXPECT_GT(store.stats().corrupt_rejects, 0u);
-
-    // A structurally valid record whose leading plan packs a buffer (no
-    // all-exact fallback recorded) is rejected by the decoder, not
-    // installed.
-    PrecisionCalibrationArtifact hostile = sample_precision_calibration();
+    // The leading plan packs a buffer: no all-exact fallback recorded.
+    CalibrationRecord hostile = sample_precision_calibration();
     std::swap(hostile.plans[0], hostile.plans[1]);
-    ASSERT_TRUE(store.save_precision_calibration(key, hostile));
-    EXPECT_FALSE(store.load_precision_calibration(key).has_value());
+    expect_rejected(store, key, hostile);
+    // Plans not index-aligned with the profiles.
+    hostile = sample_precision_calibration();
+    hostile.plans.pop_back();
+    expect_rejected(store, key, hostile);
+    // A codec byte past the last codec.
+    hostile = sample_precision_calibration();
+    hostile.plans[3].assignments[0].codec =
+        static_cast<data::Codec>(data::kNumCodecs);
+    expect_rejected(store, key, hostile);
+    // Int8 parameters that would poison live packing: a scale that is
+    // not finite and positive, or a non-finite zero.
+    for (const auto& [scale, zero] :
+         {std::pair{0.0f, 0.0f}, std::pair{-1.0f, 0.0f},
+          std::pair{std::numeric_limits<float>::infinity(), 0.0f},
+          std::pair{std::numeric_limits<float>::quiet_NaN(), 0.0f},
+          std::pair{0.25f, std::numeric_limits<float>::quiet_NaN()}}) {
+        hostile = sample_precision_calibration();
+        hostile.plans[2].assignments[0].quant = {scale, zero};
+        expect_rejected(store, key, hostile);
+    }
+}
 
-    // And a restored record with a non-finite int8 scale must be a miss:
-    // corrupt quant params can never reach live packing.
-    PrecisionCalibrationArtifact bad_scale = sample_precision_calibration();
-    bad_scale.plans[2].assignments[0].quant.scale = 0.0f;
-    ASSERT_TRUE(store.save_precision_calibration(key, bad_scale));
-    EXPECT_FALSE(store.load_precision_calibration(key).has_value());
+TEST(StoreTest, CalibrationWithBothSectionsIsMiss)
+{
+    // A record describes one family: pipeline configs and precision plans
+    // together cannot both rebuild it, so the decoder refuses the pair.
+    const ArtifactStore store(fresh_dir("both-sections"));
+    StoreKey key = test_key("calibration");
+    key.metric = "L1";
+    CalibrationRecord both = sample_pipeline_calibration();
+    both.plans = sample_precision_calibration().plans;
+    expect_rejected(store, key, both);
+    EXPECT_GT(store.stats().corrupt_rejects, 0u);
 }
 
 TEST(StoreTest, ListAndPruneSeparateValidFromInvalid)
@@ -542,16 +657,17 @@ session_plan()
     return plan;
 }
 
-/// runtime::warm_tuner over @p session's variants, keyed by its
-/// calibration key.
+/// runtime::warm_tuner over @p session's variants as a plain family, keyed
+/// by its calibration key.
 runtime::WarmTuner
 session_warm_tuner(const runtime::KernelSession& session,
                    const std::vector<std::uint64_t>& seeds)
 {
     constexpr auto metric = runtime::Metric::MeanRelativeError;
-    return runtime::warm_tuner(session.variants(session_plan()), metric,
-                               session.options().toq, seeds,
-                               session.calibration_key(metric));
+    return runtime::warm_tuner(
+        runtime::kernel_family(session.variants(session_plan()),
+                               session.calibration_key(metric)),
+        metric, session.options().toq, seeds);
 }
 
 TEST(StoreWarmStartTest, WarmSessionSkipsSearchAndMatchesColdSelection)
@@ -622,16 +738,27 @@ TEST(StoreWarmStartTest, StaleCalibrationIsRejectedNotInstalled)
 
     // A calibration whose labels don't match the live variant list (a
     // different build wrote it) must be ignored and recalibrated over.
-    CalibrationArtifact stale;
-    stale.profiles = {{"exact", 1.0, 1.0, 100.0, true, false},
-                      {"renamed-variant", 2.0, 2.0, 95.0, true, false}};
-    stale.fallback_order = {1, 0};
-    stale.selected = 1;
+    CalibrationRecord stale;
+    stale.calibration.profiles = {
+        {"exact", 1.0, 1.0, 100.0, true, false},
+        {"renamed-variant", 2.0, 2.0, 95.0, true, false}};
+    stale.calibration.fallback_order = {1, 0};
+    stale.calibration.selected = 1;
     ASSERT_TRUE(store->save_calibration(key, stale));
 
     const auto tuner = session_warm_tuner(session, {1, 2});
     EXPECT_FALSE(tuner.warm);  // Fell back to a live calibration.
     EXPECT_GE(tuner.tuner->profiles().size(), 2u);
+
+    // The live labels under a data-tier section: a plain family has no
+    // section to rebuild from, so the record is not installed either.
+    CalibrationRecord sectioned = tuner.record;
+    sectioned.plans.assign(sectioned.calibration.profiles.size(),
+                           data::PrecisionPlan{"exact", {}});
+    ASSERT_TRUE(store->save_calibration(key, sectioned));
+    ASSERT_TRUE(store->load_calibration(key).has_value());
+    EXPECT_FALSE(session_warm_tuner(session, {1, 2}).warm);
+    EXPECT_TRUE(session_warm_tuner(session, {1, 2}).warm);
 
     ArtifactStore::disable_global();
     vm::ProgramCache::global().clear();
@@ -770,11 +897,12 @@ TEST(StoreWarmStartTest, HostileCalibrationNeverServesFromALiveService)
     };
 
     // Stale: a record naming a variant this build does not have.
-    CalibrationArtifact stale;
-    stale.profiles = {{"exact", 1.0, 1.0, 100.0, true, false},
-                      {"renamed-variant", 9.0, 9.0, 99.0, true, false}};
-    stale.fallback_order = {1, 0};
-    stale.selected = 1;
+    CalibrationRecord stale;
+    stale.calibration.profiles = {
+        {"exact", 1.0, 1.0, 100.0, true, false},
+        {"renamed-variant", 9.0, 9.0, 99.0, true, false}};
+    stale.calibration.fallback_order = {1, 0};
+    stale.calibration.selected = 1;
     ASSERT_TRUE(store->save_calibration(key, stale));
     {
         serve::ApproxService service{[] {
@@ -796,7 +924,7 @@ TEST(StoreWarmStartTest, HostileCalibrationNeverServesFromALiveService)
     {
         const auto reloaded = store->load_calibration(key);
         ASSERT_TRUE(reloaded.has_value());
-        EXPECT_EQ(reloaded->profiles[1].label, "good");
+        EXPECT_EQ(reloaded->calibration.profiles[1].label, "good");
     }
 
     // Corrupted: flip one payload byte of the (now valid) record.  The

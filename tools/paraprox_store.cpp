@@ -46,108 +46,57 @@ kind_name(ArtifactKind kind)
         return "table";
     case ArtifactKind::Calibration:
         return "calibration";
-    case ArtifactKind::PipelineCalibration:
-        return "pipeline";
-    case ArtifactKind::PrecisionCalibration:
-        return "precision";
+    case ArtifactKind::FleetCalibration:
+        return "fleet";
+    case ArtifactKind::Lease:
+        return "lease";
     }
     return "unknown";
 }
 
-/// Pipeline-calibration payloads carry the whole joint plan; print the
-/// chain structure, every surviving joint config, and the end-to-end
-/// selection so operators can audit what a warm start will restore.
+/// Calibration payloads carry every calibrated variant of a family and,
+/// for pipelines and data tiers, the section a warm start rebuilds them
+/// from; print one row per variant (a data tier's with its per-buffer
+/// codecs) with `*` on the selection, so operators can audit what a warm
+/// start will restore.
 void
-print_pipeline_calibration(const std::vector<std::uint8_t>& payload)
+print_calibration(const std::vector<std::uint8_t>& payload)
 {
     std::string key;
-    const auto artifact =
-        paraprox::store::inspect_pipeline_calibration(payload, &key);
-    if (!artifact)
+    const auto record = paraprox::store::inspect_calibration(payload, &key);
+    if (!record)
         return;
     std::printf("key:      %s\n", key.c_str());
-    std::printf("metric:   %s\n", artifact->metric.c_str());
-    std::printf("toq:      %.2f%% (end-to-end, final stage output)\n",
-                artifact->toq);
-    std::printf("stages:  ");
-    for (const auto& stage : artifact->stage_names)
-        std::printf(" %s", stage.c_str());
-    std::printf("\n");
-    const auto& calibration = artifact->calibration;
-    for (std::size_t i = 0; i < artifact->configs.size(); ++i) {
-        const bool selected =
-            static_cast<std::size_t>(calibration.selected) == i;
-        std::string joint;
-        for (std::size_t s = 0; s < artifact->configs[i].size(); ++s) {
-            if (s > 0)
-                joint += " | ";
-            joint += artifact->stage_names.size() == artifact->configs[i].size()
-                         ? artifact->stage_names[s] + "=" +
-                               artifact->configs[i][s]
-                         : artifact->configs[i][s];
-        }
-        const paraprox::runtime::VariantProfile* profile =
-            i < calibration.profiles.size() ? &calibration.profiles[i]
-                                            : nullptr;
-        if (profile) {
-            std::printf("config:   %c %-60s q=%.2f%% speedup=%.2fx%s\n",
-                        selected ? '*' : ' ', joint.c_str(),
-                        profile->quality, profile->speedup,
-                        profile->meets_toq ? "" : " (below TOQ)");
-        } else {
-            std::printf("config:   %c %s\n", selected ? '*' : ' ',
-                        joint.c_str());
-        }
+    std::printf("metric:   %s\n", record->metric.c_str());
+    std::printf("toq:      %.2f%%\n", record->toq);
+    if (!record->stage_names.empty()) {
+        std::printf("stages:  ");
+        for (const auto& stage : record->stage_names)
+            std::printf(" %s", stage.c_str());
+        std::printf("\n");
     }
-}
-
-/// Precision-calibration payloads carry every searched per-buffer codec
-/// plan; print each plan's assignments and calibrated profile so
-/// operators can audit what storage precision a warm start will serve.
-void
-print_precision_calibration(const std::vector<std::uint8_t>& payload)
-{
-    std::string key;
-    const auto artifact =
-        paraprox::store::inspect_precision_calibration(payload, &key);
-    if (!artifact)
-        return;
-    std::printf("key:      %s\n", key.c_str());
-    std::printf("metric:   %s\n", artifact->metric.c_str());
-    std::printf("toq:      %.2f%%\n", artifact->toq);
-    const auto& calibration = artifact->calibration;
-    for (std::size_t i = 0; i < artifact->plans.size(); ++i) {
-        const auto& plan = artifact->plans[i];
-        const bool selected =
-            static_cast<std::size_t>(calibration.selected) == i;
-        std::string assignments;
-        for (const auto& assignment : plan.assignments) {
-            if (!assignments.empty())
-                assignments += " ";
-            assignments += assignment.buffer + "=" +
-                           paraprox::data::to_string(assignment.codec);
-            if (assignment.codec == paraprox::data::Codec::Int8) {
-                char quant[64];
-                std::snprintf(quant, sizeof quant, "(s=%g,z=%g)",
-                              static_cast<double>(assignment.quant.scale),
-                              static_cast<double>(assignment.quant.zero));
-                assignments += quant;
+    const auto& calibration = record->calibration;
+    for (std::size_t i = 0; i < calibration.profiles.size(); ++i) {
+        const auto& profile = calibration.profiles[i];
+        std::string row = profile.label;
+        if (i < record->plans.size() && i != 0) {
+            row.clear();
+            for (const auto& assignment : record->plans[i].assignments) {
+                char quant[64] = "";
+                if (assignment.codec == paraprox::data::Codec::Int8)
+                    std::snprintf(quant, sizeof quant, "(s=%g,z=%g)",
+                                  static_cast<double>(assignment.quant.scale),
+                                  static_cast<double>(assignment.quant.zero));
+                row += (row.empty() ? "" : " ") + assignment.buffer + "=" +
+                       paraprox::data::to_string(assignment.codec) + quant;
             }
         }
-        if (assignments.empty())
-            assignments = "all-exact";
-        const paraprox::runtime::VariantProfile* profile =
-            i < calibration.profiles.size() ? &calibration.profiles[i]
-                                            : nullptr;
-        if (profile) {
-            std::printf("plan:     %c %-44s q=%.2f%% speedup=%.2fx%s\n",
-                        selected ? '*' : ' ', assignments.c_str(),
-                        profile->quality, profile->speedup,
-                        profile->meets_toq ? "" : " (below TOQ)");
-        } else {
-            std::printf("plan:     %c %s\n", selected ? '*' : ' ',
-                        assignments.c_str());
-        }
+        std::printf("variant:  %c %-60s q=%.2f%% speedup=%.2fx%s\n",
+                    static_cast<std::size_t>(calibration.selected) == i
+                        ? '*'
+                        : ' ',
+                    row.c_str(), profile.quality, profile.speedup,
+                    profile.meets_toq ? "" : " (below TOQ)");
     }
 }
 
@@ -189,10 +138,8 @@ cmd_inspect(const std::filesystem::path& file)
     if (info.valid) {
         if (const auto payload =
                 paraprox::store::decode_record(*bytes, info.kind)) {
-            if (info.kind == ArtifactKind::PipelineCalibration) {
-                print_pipeline_calibration(*payload);
-            } else if (info.kind == ArtifactKind::PrecisionCalibration) {
-                print_precision_calibration(*payload);
+            if (info.kind == ArtifactKind::Calibration) {
+                print_calibration(*payload);
             } else {
                 // Every payload leads with its canonical key string.
                 paraprox::store::ByteReader reader(payload->data(),
