@@ -15,8 +15,8 @@
 ///     routing should scale near-linearly (>= 1.7x at 2, >= 3x at 4);
 ///
 ///   - drift economics: one injected drift event per fleet must cost
-///     exactly one re-profiling sweep fleet-wide — one replica wins the
-///     drift lease and publishes, every peer adopts, nobody redundantly
+///     exactly one re-profiling sweep fleet-wide — one replica takes the
+///     drift lock and publishes, every peer adopts, nobody redundantly
 ///     recalibrates.
 ///
 /// --smoke runs the 2-replica fleet only and exits non-zero unless the
@@ -87,9 +87,7 @@ run_replica_worker(const std::string& id, const std::string& socket_path,
     config.num_workers = 2;
     serve::ApproxService service(config);
 
-    net::PlaneConfig plane_config;
-    plane_config.replica_id = id;
-    net::CalibrationPlane plane(service, store, plane_config);
+    net::CalibrationPlane plane(service, store);
 
     const auto device = device::DeviceModel::gtx560();
     auto app = fleet_app();
@@ -126,29 +124,6 @@ spawn_worker(const std::string& id, const std::string& socket_path,
           static_cast<char*>(nullptr));
     std::perror("execl");
     _exit(127);
-}
-
-bool
-wait_for_endpoint(const std::string& socket_path,
-                  std::chrono::milliseconds timeout)
-{
-    const auto give_up = std::chrono::steady_clock::now() + timeout;
-    while (std::chrono::steady_clock::now() < give_up) {
-        Socket probe = connect_unix(socket_path);
-        if (probe.valid())
-            return true;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return false;
-}
-
-std::optional<net::ReplicaStats>
-scrape_stats(net::FrontDoor& door, std::size_t index)
-{
-    const auto reply = door.call(index, net::MsgType::StatsRequest, {});
-    if (!reply || reply->type != net::MsgType::StatsReply)
-        return std::nullopt;
-    return net::ReplicaStats::decode(reply->payload);
 }
 
 struct FleetResult {
@@ -224,7 +199,7 @@ run_fleet(int replicas, int requests, const std::string& run_dir,
     // modeled work, so completion time is set by the busiest replica.
     std::vector<std::uint64_t> served_before(endpoints.size(), 0);
     for (std::size_t i = 0; i < endpoints.size(); ++i) {
-        const auto stats = scrape_stats(door, i);
+        const auto stats = door.replica_stats(i);
         if (!stats)
             return std::nullopt;
         result.max_served = std::max(result.max_served, stats->served);
@@ -239,8 +214,7 @@ run_fleet(int replicas, int requests, const std::string& run_dir,
     }
 
     // Drift phase: announce one drift event to every replica at once and
-    // wait until each one resolved it terminally (published, adopted, or
-    // redundant).
+    // wait until each one resolved it terminally (published or adopted).
     net::DriftRequest drift;
     drift.kernel = kernel;
     for (std::size_t i = 0; i < endpoints.size(); ++i)
@@ -250,10 +224,9 @@ run_fleet(int replicas, int requests, const std::string& run_dir,
     while (std::chrono::steady_clock::now() < deadline) {
         std::size_t resolved = 0;
         for (std::size_t i = 0; i < endpoints.size(); ++i) {
-            if (const auto stats = scrape_stats(door, i);
+            if (const auto stats = door.replica_stats(i);
                 stats && stats->published_calibrations +
-                                 stats->adopted_calibrations +
-                                 stats->redundant_recalibrations >
+                                 stats->adopted_calibrations >
                              0)
                 ++resolved;
         }
@@ -262,7 +235,7 @@ run_fleet(int replicas, int requests, const std::string& run_dir,
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     for (std::size_t i = 0; i < endpoints.size(); ++i) {
-        const auto stats = scrape_stats(door, i);
+        const auto stats = door.replica_stats(i);
         if (!stats)
             return std::nullopt;
         result.recalibrations += stats->recalibrations;

@@ -2,6 +2,8 @@
 
 namespace paraprox::net {
 
+using LockState = store::FleetLock::State;
+
 CalibrationPlane::CalibrationPlane(
     serve::ApproxService& service,
     std::shared_ptr<store::ArtifactStore> store, PlaneConfig config)
@@ -38,9 +40,9 @@ CalibrationPlane::start()
         [this](const std::string& kernel) { return gate(kernel); });
     service_.set_calibration_publisher(
         [this](const std::string& kernel,
-               const runtime::CalibrationState& calibration,
+               const std::optional<runtime::CalibrationState>& calibration,
                const std::vector<std::string>& quarantined) {
-            publish(kernel, calibration, quarantined);
+            finish(kernel, calibration, quarantined);
         });
     watcher_ = std::thread([this] { watch_loop(); });
 }
@@ -74,93 +76,90 @@ CalibrationPlane::stats() const
     return stats_;
 }
 
+bool
+CalibrationPlane::adopt_newer(const std::string& kernel, Entry& entry)
+{
+    if (store_->fleet_calibration_version(entry.key) <= entry.seen_version)
+        return false;
+    const auto artifact = store_->load_fleet_calibration(entry.key);
+    if (!artifact)
+        return false;  // Corrupt; the next poll reads it again.
+    // The version is consumed even if adoption fails: a record that
+    // fails restore validation (module drift) will not get better by
+    // re-reading it every poll.
+    entry.seen_version = artifact->version;
+    if (!service_.adopt_calibration(kernel, artifact->calibration,
+                                    artifact->quarantined))
+        return false;
+    entry.awaiting = false;
+    return true;
+}
+
 serve::RecalibrationDecision
 CalibrationPlane::gate(const std::string& kernel)
 {
-    std::unique_lock<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     const auto it = tracked_.find(kernel);
     if (it == tracked_.end())
         return serve::RecalibrationDecision::Proceed;
     Entry& entry = it->second;
 
-    // A peer may have already resolved this very drift event: adopt its
-    // publish instead of queuing behind its (already released) lease.
-    const std::uint64_t current =
-        store_->fleet_calibration_version(entry.key);
-    if (current > entry.seen_version) {
-        const auto artifact = store_->load_fleet_calibration(entry.key);
-        if (artifact &&
-            service_.adopt_calibration(kernel, artifact->calibration,
-                                       artifact->quarantined)) {
-            entry.seen_version = artifact->version;
+    store::FleetLock fleet = store_->try_lock_fleet(entry.key);
+    switch (fleet.state()) {
+        case LockState::Contended:
+            ++stats_.lease_losses;
+            entry.awaiting = true;
+            return serve::RecalibrationDecision::AwaitAdoption;
+        case LockState::Unavailable:
+            // A store that cannot be locked cannot arbitrate: recover
+            // locally and publish nothing.
             entry.awaiting = false;
-            return serve::RecalibrationDecision::AlreadyResolved;
-        }
+            return serve::RecalibrationDecision::Proceed;
+        case LockState::Held:
+            break;
     }
-
-    const auto token = store_->try_acquire_lease(
-        entry.key, config_.replica_id,
-        static_cast<std::uint64_t>(config_.lease_ttl.count()));
-    if (token) {
-        ++stats_.lease_wins;
-        entry.lease_token = *token;
-        entry.publish_base = current;
-        entry.awaiting = false;
-        return serve::RecalibrationDecision::Proceed;
-    }
-    ++stats_.lease_losses;
-    entry.awaiting = true;
-    entry.awaiting_since = std::chrono::steady_clock::now();
-    return serve::RecalibrationDecision::AwaitAdoption;
+    // Under the lock no publish can land before our sweep; a version
+    // past what we have seen means a peer already resolved this drift.
+    if (adopt_newer(kernel, entry))
+        return serve::RecalibrationDecision::AlreadyResolved;
+    ++stats_.lease_wins;
+    entry.lock = std::move(fleet);
+    entry.awaiting = false;
+    return serve::RecalibrationDecision::Proceed;
 }
 
 void
-CalibrationPlane::publish(const std::string& kernel,
-                          const runtime::CalibrationState& calibration,
-                          const std::vector<std::string>& quarantined)
+CalibrationPlane::finish(
+    const std::string& kernel,
+    const std::optional<runtime::CalibrationState>& calibration,
+    const std::vector<std::string>& quarantined)
 {
-    std::unique_lock<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     const auto it = tracked_.find(kernel);
-    if (it == tracked_.end())
-        return;
+    if (it == tracked_.end() || !it->second.lock.held())
+        return;  // Recalibrated without the lock: nothing to publish.
     Entry& entry = it->second;
-
-    store::FleetCalibrationArtifact artifact;
-    artifact.calibration = calibration;
-    artifact.quarantined = quarantined;
-    artifact.toq = entry.key.toq;
-    artifact.metric = entry.key.metric;
-    const auto result = store_->publish_fleet_calibration(
-        entry.key, entry.publish_base, std::move(artifact));
-    if (result.published) {
-        ++stats_.published_calibrations;
-        entry.seen_version = result.version;
-    } else if (result.version > entry.publish_base) {
-        // The fleet moved underneath us: our lease expired mid-sweep and
-        // a peer (takeover) finished the event first.  Our sweep was
-        // redundant — adopt the fleet's record rather than clobbering a
-        // version peers may have already adopted.
-        ++stats_.redundant_recalibrations;
-        const auto fleet = store_->load_fleet_calibration(entry.key);
-        if (fleet &&
-            service_.adopt_calibration(kernel, fleet->calibration,
-                                       fleet->quarantined))
-            entry.seen_version = fleet->version;
+    if (calibration) {
+        store::FleetCalibrationArtifact artifact;
+        artifact.calibration = *calibration;
+        artifact.quarantined = quarantined;
+        artifact.toq = entry.key.toq;
+        artifact.metric = entry.key.metric;
+        if (const std::uint64_t version = store_->publish_fleet_calibration(
+                entry.lock, std::move(artifact))) {
+            ++stats_.published_calibrations;
+            entry.seen_version = version;
+        }
     }
-    if (entry.lease_token != 0) {
-        store_->release_lease(entry.key, config_.replica_id,
-                              entry.lease_token);
-        entry.lease_token = 0;
-    }
-    entry.awaiting = false;
+    entry.lock = {};  // The drift event is over, published or not.
 }
 
 void
 CalibrationPlane::poll_now()
 {
     for (const std::string& kernel : sweep()) {
-        // Re-drive a drift whose lease winner went silent: the gate runs
-        // again, steals the (expired) lease or adopts a late publish.
+        // Re-drive a drift whose lock holder ended without publishing:
+        // the gate runs again and takes the lock or loses it to a peer.
         // Outside the plane lock — the gate re-enters this plane.
         service_.recalibrate_kernel(kernel);
     }
@@ -172,26 +171,16 @@ CalibrationPlane::sweep()
     std::vector<std::string> redrive;
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.watch_polls;
-    const auto now = std::chrono::steady_clock::now();
     for (auto& [kernel, entry] : tracked_) {
-        if (entry.lease_token != 0)
-            continue;  // We are the recalibrating owner.
-        const std::uint64_t current =
-            store_->fleet_calibration_version(entry.key);
-        if (current > entry.seen_version) {
-            const auto artifact =
-                store_->load_fleet_calibration(entry.key);
-            if (!artifact)
-                continue;  // Mid-replacement or corrupt; next poll.
-            if (service_.adopt_calibration(kernel, artifact->calibration,
-                                           artifact->quarantined))
-                entry.awaiting = false;
-            // Either way the version is consumed: a record that fails
-            // restore validation (module drift) will not get better by
-            // re-reading it every poll.
-            entry.seen_version = artifact->version;
-        } else if (entry.awaiting &&
-                   now - entry.awaiting_since > config_.adoption_timeout) {
+        if (entry.lock.held())
+            continue;  // Our own recalibration is in flight.
+        // Probe before reading the version: a holder publishes before
+        // it drops the lock, so a free lock with nothing new to adopt
+        // means the holder ended without a publish.
+        const bool orphaned =
+            entry.awaiting &&
+            store_->try_lock_fleet(entry.key).state() != LockState::Contended;
+        if (!adopt_newer(kernel, entry) && orphaned) {
             entry.awaiting = false;
             ++stats_.takeovers;
             redrive.push_back(kernel);

@@ -3,24 +3,28 @@
 /// store.
 ///
 /// Every replica runs one plane next to its ApproxService.  When a
-/// tracked kernel drifts, the plane's gate races the fleet for the
-/// per-key drift lease (an O_EXCL file in the shared store):
+/// tracked kernel drifts, the plane's gate takes the key's drift lock
+/// (store::FleetLock, a flock on a sidecar in the shared store) without
+/// blocking:
 ///
-///   - the winner recalibrates locally, then publishes the fresh
-///     calibration — with its quarantine verdicts — as a versioned
-///     FleetCalibration record and releases the lease;
+///   - the holder reads the fleet version under the lock.  If a peer
+///     already published past what this replica has seen, it adopts
+///     that record and drops the lock; otherwise it recalibrates
+///     locally, publishes the fresh calibration — with its quarantine
+///     verdicts — as the next FleetCalibration version, and drops the
+///     lock when the recalibration ends, published or not;
 ///   - losers serve exact and wait; their watch thread polls the record
 ///     version every few tens of milliseconds and installs the publish
 ///     through ApproxService::adopt_calibration().  One drift event
 ///     costs the fleet exactly one re-profiling sweep.
 ///
-/// Failure containment: if the lease winner dies mid-recalibration, its
-/// lease expires; any loser still awaiting adoption past the adoption
-/// timeout re-drives the drift, steals the expired lease, and finishes
-/// the event (counted as a takeover).  If the winner merely lost its
-/// lease to a slow sweep, its publish detects the version moved
-/// underneath, counts a redundant recalibration, and adopts the peer's
-/// record instead of clobbering it.
+/// Failure containment: the lock ends exactly when its holder's
+/// recalibration ends or its process dies (the kernel drops it), so
+/// detecting a dead holder needs no expiry and no timeout.  A waiting
+/// replica's poll that finds the lock free and no new version takes
+/// the event over through the gate (counted as a takeover).  A store
+/// that cannot be locked at all cannot arbitrate: the gate lets the
+/// replica recalibrate locally and publishes nothing.
 ///
 /// A replica that joins after a publish (a warm restart restores the
 /// calibration it saved before the drift) adopts the fleet's current
@@ -36,6 +40,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,32 +52,30 @@
 namespace paraprox::net {
 
 struct PlaneConfig {
-    /// This replica's fleet-unique id (lease ownership, reply labels).
+    /// Unused: nothing reads it since the drift lock replaced the
+    /// owner-stamped lease.  perfbench still sets it; the benchmark
+    /// change that migrates perfbench deletes it.
     std::string replica_id = "replica";
-    /// How long a drift lease stays valid.  Must exceed the worst-case
-    /// recalibration sweep by a safe margin; an expired lease is up for
-    /// stealing.
-    std::chrono::milliseconds lease_ttl{2000};
     /// Version-watch poll period.
     std::chrono::milliseconds watch_interval{20};
-    /// How long a replica waits for the lease winner's publish before
-    /// re-driving the drift itself (the winner presumably died).
-    std::chrono::milliseconds adoption_timeout{3000};
 };
 
 /// The plane's counters, one X(type, name) row each (see
 /// support/counters.h).  The table generates PlaneStats and the plane
 /// half of net::ReplicaStats.
 #define PARAPROX_PLANE_COUNTERS(X)                                            \
+    /* Gates that took the drift lock and recalibrated locally. */            \
     X(std::uint64_t, lease_wins)                                              \
+    /* Gates that found a peer holding the drift lock. */                     \
     X(std::uint64_t, lease_losses)                                            \
     X(std::uint64_t, published_calibrations)                                  \
-    /* Locally completed recalibrations that lost the publish race (our */    \
-    /* lease expired and a peer finished first); the peer's record was */     \
-    /* adopted instead.  Zero in a healthy fleet. */                          \
+    /* Always zero: the drift lock spans the sweep and the publish, so no */  \
+    /* sweep can finish behind a peer's publish.  perfbench still reads */    \
+    /* it; the benchmark change that migrates perfbench deletes it. */        \
     X(std::uint64_t, redundant_recalibrations)                                \
     X(std::uint64_t, watch_polls)                                             \
-    /* Drift events re-driven after the lease winner went silent. */          \
+    /* Drift events re-driven after the lock holder ended without a */        \
+    /* publish (its sweep failed or its process died). */                     \
     X(std::uint64_t, takeovers)
 
 struct PlaneStats {
@@ -115,19 +118,21 @@ class CalibrationPlane {
         /// Starts at 0, so a record published before track() is adopted
         /// on the first watch poll.
         std::uint64_t seen_version = 0;
-        /// Nonzero while this replica holds the drift lease.
-        std::uint64_t lease_token = 0;
-        /// Fleet version observed when the lease was acquired; the
-        /// publish CAS-checks against it.
-        std::uint64_t publish_base = 0;
+        /// Held from a won gate until that recalibration ends.
+        store::FleetLock lock;
+        /// A peer held the lock at the gate; serving exact meanwhile.
         bool awaiting = false;
-        std::chrono::steady_clock::time_point awaiting_since{};
     };
 
     serve::RecalibrationDecision gate(const std::string& kernel);
-    void publish(const std::string& kernel,
-                 const runtime::CalibrationState& calibration,
-                 const std::vector<std::string>& quarantined);
+    /// The service's publisher hook: publish a successful recalibration
+    /// and drop the lock either way.
+    void finish(const std::string& kernel,
+                const std::optional<runtime::CalibrationState>& calibration,
+                const std::vector<std::string>& quarantined);
+    /// Adopt the fleet's record if its version moved past what @p entry
+    /// has seen; true when adopted.  Caller holds mutex_.
+    bool adopt_newer(const std::string& kernel, Entry& entry);
     void watch_loop();
     /// One sweep over tracked kernels; returns kernels whose drift must
     /// be re-driven (invoked by the caller outside the lock — the gate

@@ -214,6 +214,15 @@ FrontDoor::call(std::size_t replica_index, MsgType type,
     return frame;
 }
 
+std::optional<ReplicaStats>
+FrontDoor::replica_stats(std::size_t replica_index)
+{
+    const auto reply = call(replica_index, MsgType::StatsRequest, {});
+    if (!reply || reply->type != MsgType::StatsReply)
+        return std::nullopt;
+    return ReplicaStats::decode(reply->payload);
+}
+
 void
 FrontDoor::revive(std::size_t index)
 {

@@ -77,6 +77,10 @@ class FrontDoor {
     std::optional<Frame> call(std::size_t replica_index, MsgType type,
                               const std::vector<std::uint8_t>& payload);
 
+    /// Scrape one replica's service and plane counters (a StatsRequest
+    /// through call()); nullopt on transport failure or a bad reply.
+    std::optional<ReplicaStats> replica_stats(std::size_t replica_index);
+
     std::size_t num_replicas() const { return replicas_.size(); }
     bool replica_alive(std::size_t index) const;
 

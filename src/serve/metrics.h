@@ -104,7 +104,7 @@ class BatchHistogram {
     X(std::uint64_t, recalibrations)                                          \
     X(std::uint64_t, exact_while_recalibrating)                               \
     /* Drift events this replica ceded to the fleet's calibration plane */    \
-    /* (a peer held the drift lease or had already published); the */         \
+    /* (a peer held the drift lock or had already published); the */          \
     /* kernel served exact until adoption instead of recalibrating. */        \
     X(std::uint64_t, suppressed_recalibrations)                               \
     /* Calibrations installed from a peer's publish via */                    \

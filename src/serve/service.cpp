@@ -647,7 +647,7 @@ ApproxService::trigger_recalibration(KernelState& state,
         return;  // One re-profiling pass at a time per kernel.
 
     // Fleet arbitration: with a gate installed (scale-out), only the
-    // drift-lease winner burns CPU on the re-profiling sweep; everyone
+    // drift-lock holder burns CPU on the re-profiling sweep; everyone
     // else either waits for its publish (serving exact meanwhile) or —
     // when the publish already landed — adopted it inside the gate and
     // just clears the drift evidence.
@@ -676,7 +676,7 @@ ApproxService::trigger_recalibration(KernelState& state,
     }
 
     // A takeover re-drive reaches here with the awaiting flag still set
-    // from the lost lease race; this replica now owns the event, so the
+    // from the lost lock race; this replica now owns the event, so the
     // flag lifts when its own recalibration completes, not on adoption.
     state.awaiting_adoption.store(false, std::memory_order_release);
     metrics_.recalibrations.fetch_add(1, std::memory_order_relaxed);
@@ -692,31 +692,31 @@ ApproxService::trigger_recalibration(KernelState& state,
             seeds = state.monitor.recent_seeds();
         if (seeds.empty())
             seeds = state.training_seeds;
-        bool recalibrated = true;
+        std::optional<runtime::CalibrationState> calibration;
+        std::vector<std::string> quarantined;
         try {
             state.tuner->recalibrate(seeds);
+            calibration = state.tuner->calibration_state();
+            quarantined = state.tuner->quarantined_labels();
         } catch (...) {
             // An exact-kernel trap during re-profiling leaves the
             // previous selection standing; serving continues either way.
-            recalibrated = false;
         }
-        if (recalibrated) {
-            // Share a won recalibration with the fleet before lifting
-            // the exact detour, so peers can adopt the same state the
-            // moment this replica resumes approximate serving.
-            CalibrationPublisher publisher;
-            {
-                std::lock_guard<std::mutex> lock(hooks_mutex_);
-                publisher = calibration_publisher_;
-            }
-            if (publisher) {
-                try {
-                    publisher(state.name, state.tuner->calibration_state(),
-                              state.tuner->quarantined_labels());
-                } catch (...) {
-                    // Publishing is best-effort; peers fall back to
-                    // their own lease-stealing recalibration.
-                }
+        // Share a won recalibration with the fleet before lifting the
+        // exact detour, so peers can adopt the same state the moment
+        // this replica resumes approximate serving; a failed one still
+        // ends the drift event, so a peer can take it over.
+        CalibrationPublisher publisher;
+        {
+            std::lock_guard<std::mutex> lock(hooks_mutex_);
+            publisher = calibration_publisher_;
+        }
+        if (publisher) {
+            try {
+                publisher(state.name, calibration, quarantined);
+            } catch (...) {
+                // Publishing is best-effort; peers fall back to their
+                // own recalibration.
             }
         }
         state.monitor.on_recalibrated();

@@ -121,7 +121,7 @@ struct ServiceConfig {
 enum class RecalibrationDecision {
     /// Recalibrate locally (the single-process default).
     Proceed,
-    /// A peer owns this drift event (it holds the lease): serve exact
+    /// A peer owns this drift event (it holds the drift lock): serve exact
     /// and wait for adopt_calibration() instead of recalibrating.
     AwaitAdoption,
     /// The fleet already resolved this event (the gate adopted the
@@ -136,10 +136,13 @@ using RecalibrationGate =
     std::function<RecalibrationDecision(const std::string& kernel)>;
 
 /// Publish hook, called off the request path (on the recalibration task)
-/// after a locally won recalibration completes, with the fresh
-/// calibration and the quarantine verdicts in force.
+/// whenever a recalibration the gate let proceed ends: with the fresh
+/// calibration and the quarantine verdicts in force when it succeeded,
+/// with no calibration when it threw (the gate's claim on the drift
+/// event must end either way).
 using CalibrationPublisher = std::function<void(
-    const std::string& kernel, const runtime::CalibrationState& calibration,
+    const std::string& kernel,
+    const std::optional<runtime::CalibrationState>& calibration,
     const std::vector<std::string>& quarantined)>;
 
 /// How an accepted request resolved.
@@ -308,11 +311,11 @@ class ApproxService {
     // ---- Scale-out calibration plane ---------------------------------
     //
     // A net::CalibrationPlane installs a gate (drift arbitration) and a
-    // publisher (share the won recalibration) and feeds peer publishes
-    // back through adopt_calibration().  Install the hooks before
-    // serving traffic; they are copied under a lock per drift event, so
-    // replacing them mid-flight is safe but the old hook may still see
-    // one in-progress event.
+    // publisher (told when each recalibration ends, to share a won one)
+    // and feeds peer publishes back through adopt_calibration().
+    // Install the hooks before serving traffic; they are copied under a
+    // lock per drift event, so replacing them mid-flight is safe but the
+    // old hook may still see one in-progress event.
 
     void set_recalibration_gate(RecalibrationGate gate);
     void set_calibration_publisher(CalibrationPublisher publisher);

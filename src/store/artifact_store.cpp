@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +27,6 @@ kind_prefix(ArtifactKind kind)
         case ArtifactKind::Table: return "table";
         case ArtifactKind::Calibration: return "calib";
         case ArtifactKind::FleetCalibration: return "fleet";
-        case ArtifactKind::Lease: return "lease";
     }
     return "unknown";
 }
@@ -420,53 +418,6 @@ decode_fleet_calibration(const StoreKey& key,
     return artifact;
 }
 
-std::vector<std::uint8_t>
-encode_lease(const StoreKey& key, const LeaseInfo& lease)
-{
-    ByteWriter w;
-    w.str(key.canonical());
-    w.str(lease.owner);
-    w.u64(lease.expires_ms);
-    w.u64(lease.token);
-    return w.bytes();
-}
-
-std::optional<LeaseInfo>
-decode_lease(const StoreKey& key, const std::vector<std::uint8_t>& payload)
-{
-    ByteReader r(payload.data(), payload.size());
-    if (r.str() != key.canonical())
-        return std::nullopt;
-    LeaseInfo lease;
-    lease.owner = r.str();
-    lease.expires_ms = r.u64();
-    lease.token = r.u64();
-    if (!r.at_end())
-        return std::nullopt;
-    return lease;
-}
-
-std::uint64_t
-wall_now_ms()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-}
-
-/// A process-unique lease token: pid in the high bits (distinct across
-/// the replica fleet) plus a per-process counter (distinct across
-/// acquisitions within one process).
-std::uint64_t
-next_lease_token()
-{
-    static std::atomic<std::uint64_t> counter{0};
-    const std::uint64_t serial =
-        counter.fetch_add(1, std::memory_order_relaxed) + 1;
-    return (static_cast<std::uint64_t>(::getpid()) << 32) ^ serial;
-}
-
 }  // namespace
 
 std::optional<CalibrationRecord>
@@ -622,45 +573,77 @@ ArtifactStore::load_fleet_calibration(const StoreKey& key) const
     return artifact;
 }
 
-bool
-ArtifactStore::save_fleet_calibration(
-    const StoreKey& key, const FleetCalibrationArtifact& artifact) const
+FleetLock::FleetLock(FleetLock&& other) noexcept
+    : key_(std::move(other.key_)), path_(std::move(other.path_)),
+      fd_(other.fd_), state_(other.state_)
 {
-    if (artifact.version == 0)
-        return false;  // Reserved: "nothing published yet".
-    return save_payload(key, ArtifactKind::FleetCalibration,
-                        encode_fleet_calibration(key, artifact));
+    other.fd_ = -1;
+    other.state_ = State::Unavailable;
 }
 
-ArtifactStore::FleetPublishResult
-ArtifactStore::publish_fleet_calibration(const StoreKey& key,
-                                         std::uint64_t base,
-                                         FleetCalibrationArtifact artifact) const
+FleetLock&
+FleetLock::operator=(FleetLock&& other) noexcept
 {
-    // The lease serializes publishers only while it is live: a sweep
-    // that outlived its lease finishes alongside the peer that stole
-    // it, and both would read the same version and write the same
-    // successor.  flock() conflicts between separate open()s even in
-    // one process; a filesystem without it degrades to the unlocked
-    // check.
-    const std::string lock_path =
-        path_for(key, ArtifactKind::FleetCalibration).string() + ".lock";
+    if (this != &other) {
+        if (fd_ >= 0)
+            ::close(fd_);  // Drops the lock.
+        key_ = std::move(other.key_);
+        path_ = std::move(other.path_);
+        fd_ = other.fd_;
+        state_ = other.state_;
+        other.fd_ = -1;
+        other.state_ = State::Unavailable;
+    }
+    return *this;
+}
+
+FleetLock::~FleetLock()
+{
+    if (fd_ >= 0)
+        ::close(fd_);  // Drops the lock.
+}
+
+std::filesystem::path
+ArtifactStore::fleet_lock_path(const StoreKey& key) const
+{
+    return path_for(key, ArtifactKind::FleetCalibration).string() + ".lock";
+}
+
+FleetLock
+ArtifactStore::try_lock_fleet(const StoreKey& key) const
+{
+    FleetLock lock;
+    lock.key_ = key;
+    lock.path_ = fleet_lock_path(key);
     const int fd =
-        ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-    while (fd >= 0 && ::flock(fd, LOCK_EX) != 0 && errno == EINTR) {
+        ::open(lock.path_.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+    if (fd < 0)
+        return lock;
+    int rc;
+    while ((rc = ::flock(fd, LOCK_EX | LOCK_NB)) != 0 && errno == EINTR) {
     }
-    FleetPublishResult result;
-    result.version = fleet_calibration_version(key);
-    if (result.version <= base) {
-        artifact.version = result.version + 1;
-        if (save_fleet_calibration(key, artifact)) {
-            result.published = true;
-            result.version = artifact.version;
-        }
+    if (rc == 0) {
+        lock.fd_ = fd;
+        lock.state_ = FleetLock::State::Held;
+        return lock;
     }
-    if (fd >= 0)
-        ::close(fd);  // Drops the lock.
-    return result;
+    if (errno == EWOULDBLOCK)
+        lock.state_ = FleetLock::State::Contended;
+    ::close(fd);
+    return lock;
+}
+
+std::uint64_t
+ArtifactStore::publish_fleet_calibration(
+    const FleetLock& lock, FleetCalibrationArtifact artifact) const
+{
+    if (!lock.held() || lock.path_ != fleet_lock_path(lock.key_))
+        return 0;
+    artifact.version = fleet_calibration_version(lock.key_) + 1;
+    return save_payload(lock.key_, ArtifactKind::FleetCalibration,
+                        encode_fleet_calibration(lock.key_, artifact))
+               ? artifact.version
+               : 0;
 }
 
 std::uint64_t
@@ -681,80 +664,6 @@ ArtifactStore::fleet_calibration_version(const StoreKey& key) const
         return 0;
     const std::uint64_t version = r.u64();
     return r.ok() ? version : 0;
-}
-
-std::optional<std::uint64_t>
-ArtifactStore::try_acquire_lease(const StoreKey& key,
-                                 const std::string& owner,
-                                 std::uint64_t ttl_ms) const
-{
-    const std::filesystem::path path = path_for(key, ArtifactKind::Lease);
-    for (int attempt = 0; attempt < 4; ++attempt) {
-        LeaseInfo lease;
-        lease.owner = owner;
-        lease.expires_ms = wall_now_ms() + ttl_ms;
-        lease.token = next_lease_token();
-        const auto bytes =
-            encode_record(ArtifactKind::Lease, encode_lease(key, lease));
-        // Write the full record to a private temp file, then link() it
-        // into place: the lease appears with its content atomically, so
-        // a peer can never observe a half-written (hence "undecodable,
-        // steal it") lease from a perfectly healthy writer.  link()
-        // fails with EEXIST when a lease already exists — the same
-        // exclusivity O_EXCL would give, without the content race.
-        const std::filesystem::path temp =
-            path.string() + ".claim-" + hex16(lease.token);
-        const int fd = ::open(temp.c_str(),
-                              O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC,
-                              0644);
-        if (fd < 0)
-            return std::nullopt;
-        const ssize_t written = ::write(fd, bytes.data(), bytes.size());
-        ::close(fd);
-        if (written != static_cast<ssize_t>(bytes.size())) {
-            ::unlink(temp.c_str());
-            return std::nullopt;
-        }
-        const int linked = ::link(temp.c_str(), path.c_str());
-        ::unlink(temp.c_str());
-        if (linked == 0)
-            return lease.token;
-        if (errno != EEXIST)
-            return std::nullopt;
-        const auto current = read_lease(key);
-        if (current && wall_now_ms() <= current->expires_ms)
-            return std::nullopt;  // Held by a live peer.
-        // Expired (or undecodable) lease: steal it.  rename() is the
-        // arbiter — exactly one concurrent stealer's rename succeeds;
-        // the losers loop back to the O_EXCL create and find the
-        // winner's fresh lease.
-        const std::filesystem::path stale =
-            path.string() + ".stale-" + hex16(next_lease_token());
-        if (::rename(path.c_str(), stale.c_str()) == 0)
-            ::unlink(stale.c_str());
-    }
-    return std::nullopt;
-}
-
-void
-ArtifactStore::release_lease(const StoreKey& key, const std::string& owner,
-                             std::uint64_t token) const
-{
-    const auto current = read_lease(key);
-    if (current && current->owner == owner && current->token == token)
-        ::unlink(path_for(key, ArtifactKind::Lease).c_str());
-}
-
-std::optional<LeaseInfo>
-ArtifactStore::read_lease(const StoreKey& key) const
-{
-    const auto file = read_file_bytes(path_for(key, ArtifactKind::Lease));
-    if (!file)
-        return std::nullopt;
-    const auto payload = decode_record(*file, ArtifactKind::Lease);
-    if (!payload)
-        return std::nullopt;
-    return decode_lease(key, *payload);
 }
 
 std::vector<ArtifactStore::Entry>
@@ -803,9 +712,7 @@ ArtifactStore::prune(bool everything) const
         if (!dirent.is_regular_file())
             continue;
         const std::string name = dirent.path().filename().string();
-        if (name.find(".ppx.tmp") != std::string::npos ||
-            name.find(".ppx.claim-") != std::string::npos ||
-            name.find(".ppx.stale-") != std::string::npos) {
+        if (name.find(".ppx.tmp") != std::string::npos) {
             if (std::filesystem::remove(dirent.path(), ec))
                 ++removed;
         }

@@ -92,27 +92,52 @@ struct CalibrationRecord {
 };
 
 /// A fleet-shared calibration, published once per drift event by the
-/// replica that won the drift lease and adopted by every peer.  The
-/// version is monotonic per key — publishers go through
-/// publish_fleet_calibration, whose version check and write are one
-/// step, so a sweep that outlived its lease cannot clobber the peer
-/// that took the lease over — and peers poll it
-/// (fleet_calibration_version) to detect a publish without paying a full
-/// decode.  Quarantine verdicts ride along so a variant one replica
-/// proved unsafe is benched fleet-wide.
+/// replica that holds the key's FleetLock and adopted by every peer.
+/// The version is monotonic per key — the only writer,
+/// publish_fleet_calibration, numbers it under the lock — and peers
+/// poll it (fleet_calibration_version) to detect a publish without
+/// paying a full decode.  Quarantine verdicts ride along so a variant
+/// one replica proved unsafe is benched fleet-wide.
 struct FleetCalibrationArtifact {
-    std::uint64_t version = 0;
+    std::uint64_t version = 0;  ///< Assigned by the publish.
     runtime::CalibrationState calibration;
     std::vector<std::string> quarantined;  ///< Benched variant labels.
     double toq = 0.0;
     std::string metric;
 };
 
-/// A decoded drift lease.
-struct LeaseInfo {
-    std::string owner;            ///< Replica id that holds the lease.
-    std::uint64_t expires_ms = 0; ///< system_clock epoch milliseconds.
-    std::uint64_t token = 0;      ///< Unique per acquisition (release check).
+/// The drift lock on one fleet key: an exclusive flock() on the key's
+/// `fleet-<hash>.ppx.lock` sidecar.  flock() conflicts between separate
+/// open()s, even within one process, and the kernel drops the lock when
+/// the handle is destroyed or its process dies, so a lock never
+/// outlives its holder and needs no expiry.  The sidecar is never
+/// unlinked: the lock lives on its inode.  Move-only; a default or
+/// moved-from handle holds nothing.
+class FleetLock {
+  public:
+    enum class State {
+        Held,         ///< This handle holds the lock.
+        Contended,    ///< Another handle, in any process, holds it.
+        Unavailable,  ///< The sidecar could not be opened or locked.
+    };
+
+    FleetLock() = default;
+    FleetLock(FleetLock&& other) noexcept;
+    FleetLock& operator=(FleetLock&& other) noexcept;
+    FleetLock(const FleetLock&) = delete;
+    FleetLock& operator=(const FleetLock&) = delete;
+    ~FleetLock();
+
+    State state() const { return state_; }
+    bool held() const { return state_ == State::Held; }
+
+  private:
+    friend class ArtifactStore;
+
+    StoreKey key_;
+    std::filesystem::path path_;  ///< The sidecar.
+    int fd_ = -1;
+    State state_ = State::Unavailable;
 };
 
 class ArtifactStore {
@@ -158,22 +183,19 @@ class ArtifactStore {
 
     std::optional<FleetCalibrationArtifact>
     load_fleet_calibration(const StoreKey& key) const;
-    bool save_fleet_calibration(const StoreKey& key,
-                                const FleetCalibrationArtifact& artifact)
-        const;
 
-    struct FleetPublishResult {
-        bool published = false;     ///< @p artifact is now the fleet's.
-        std::uint64_t version = 0;  ///< Fleet version after the call.
-    };
+    /// Take the drift lock on @p key without blocking.  Held by a peer
+    /// is Contended; any other open() or flock() failure (a store that
+    /// cannot be written) is Unavailable.
+    FleetLock try_lock_fleet(const StoreKey& key) const;
 
-    /// Publish @p artifact as version base + 1 unless the fleet already
-    /// moved past @p base (a peer published first: result.version >
-    /// base, nothing written).  The check and the write run under an
-    /// exclusive flock on a sidecar file, so two publishers from the
-    /// same base — in one process or many — cannot both win.
-    FleetPublishResult
-    publish_fleet_calibration(const StoreKey& key, std::uint64_t base,
+    /// Publish @p artifact under @p lock's key as the version after the
+    /// current one, and return that version.  0 (nothing written) unless
+    /// @p lock is held on this store's directory, or when the write
+    /// fails.  Holding the lock from the version read to the write is
+    /// what keeps versions unique fleet-wide.
+    std::uint64_t
+    publish_fleet_calibration(const FleetLock& lock,
                               FleetCalibrationArtifact artifact) const;
 
     /// The published version under @p key, or 0 when no (valid) record
@@ -181,26 +203,6 @@ class ArtifactStore {
     /// of milliseconds per tracked kernel, so unlike the load_* family
     /// it deliberately does not count hits/misses.
     std::uint64_t fleet_calibration_version(const StoreKey& key) const;
-
-    /// Try to acquire the drift lease for @p key on behalf of @p owner,
-    /// valid for @p ttl_ms.  Returns the lease token on success, nullopt
-    /// when a live peer holds it.  Creation is O_CREAT|O_EXCL so
-    /// concurrent acquirers race safely; an expired or undecodable lease
-    /// is stolen through an exclusive rename (only one stealer's rename
-    /// succeeds), so a replica that died mid-recalibration blocks peers
-    /// only until its lease expires.
-    std::optional<std::uint64_t>
-    try_acquire_lease(const StoreKey& key, const std::string& owner,
-                      std::uint64_t ttl_ms) const;
-
-    /// Release the lease if it is still ours: the on-disk owner and
-    /// token must both match (the token guards the ABA case where our
-    /// expired lease was stolen and re-acquired by the same owner id).
-    void release_lease(const StoreKey& key, const std::string& owner,
-                       std::uint64_t token) const;
-
-    /// Decode the current lease under @p key, if any (diagnostics).
-    std::optional<LeaseInfo> read_lease(const StoreKey& key) const;
 
     /// One store file, as seen by list()/verify/prune.
     struct Entry {
@@ -215,7 +217,8 @@ class ArtifactStore {
     std::vector<Entry> list() const;
 
     /// Delete invalid record files (and stray temp files); @p everything
-    /// deletes valid records too.  Returns the number removed.
+    /// deletes valid records too.  Drift-lock sidecars always stay.
+    /// Returns the number removed.
     std::size_t prune(bool everything = false) const;
 
     StoreStats stats() const;
@@ -239,6 +242,7 @@ class ArtifactStore {
   private:
     std::optional<std::vector<std::uint8_t>>
     load_payload(const StoreKey& key, ArtifactKind kind) const;
+    std::filesystem::path fleet_lock_path(const StoreKey& key) const;
     bool save_payload(const StoreKey& key, ArtifactKind kind,
                       const std::vector<std::uint8_t>& payload) const;
 

@@ -201,8 +201,7 @@ probe_record(const std::vector<std::uint8_t>& file)
         (info.kind == ArtifactKind::Program ||
          info.kind == ArtifactKind::Table ||
          info.kind == ArtifactKind::Calibration ||
-         info.kind == ArtifactKind::FleetCalibration ||
-         info.kind == ArtifactKind::Lease) &&
+         info.kind == ArtifactKind::FleetCalibration) &&
         info.payload_size == file.size() - kHeaderBytes &&
         checksum == fnv1a64(file.data() + kHeaderBytes,
                             file.size() - kHeaderBytes);

@@ -43,13 +43,9 @@ enum class ArtifactKind : std::uint32_t {
     /// Fleet-shared calibration published by the scale-out plane: a
     /// monotonically versioned CalibrationState plus the quarantine
     /// verdicts in force when it was published.  Replicas adopt a newer
-    /// version instead of recalibrating redundantly.
+    /// version instead of recalibrating redundantly.  (7 named the
+    /// retired drift-lease record; it stays unused.)
     FleetCalibration = 6,
-    /// Drift-recalibration lease: which replica owns the right to
-    /// recalibrate a key, until an expiry stamp.  Acquired with
-    /// O_CREAT|O_EXCL (never temp+rename, which would silently replace
-    /// a live owner); an expired lease is stolen via exclusive rename.
-    Lease = 7,
 };
 
 /// FNV-1a over @p size bytes, seeded so it can be chained.

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <thread>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -119,6 +120,18 @@ connect_unix(const std::string& path)
     }
     ::close(fd);
     return Socket();
+}
+
+bool
+wait_for_endpoint(const std::string& path, std::chrono::milliseconds timeout)
+{
+    const auto give_up = std::chrono::steady_clock::now() + timeout;
+    while (std::chrono::steady_clock::now() < give_up) {
+        if (connect_unix(path).valid())
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
 }
 
 Listener::~Listener()

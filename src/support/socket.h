@@ -16,6 +16,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <string>
 
@@ -58,6 +59,11 @@ class Socket {
 /// Connect to the AF_UNIX endpoint at @p path.  Invalid Socket on
 /// failure.
 Socket connect_unix(const std::string& path);
+
+/// Poll connect_unix(@p path) until it succeeds (a freshly spawned
+/// server is listening) or @p timeout passes; true on success.
+bool wait_for_endpoint(const std::string& path,
+                       std::chrono::milliseconds timeout);
 
 /// Listening AF_UNIX endpoint bound to a filesystem path.  `close()`
 /// (or destruction) unlinks the path and unblocks a concurrent

@@ -1,14 +1,18 @@
 // Tests for the scale-out serving stack: wire codecs and framing over
-// real AF_UNIX sockets, the artifact store's drift-lease and versioned
-// fleet-calibration records, FrontDoor routing and failover, the
-// CalibrationPlane's one-sweep-per-drift economics (lease win / inline
-// adopt / watch adopt / takeover / redundant publish), and the chaos
-// scenario: a replica killed mid-drift under armed net.drop + vm.trap
-// faults must not cost a single admitted request its reply.
+// real AF_UNIX sockets, the artifact store's drift lock (a kernel-held
+// flock, freed when its holder is destroyed or its process dies) and
+// versioned fleet-calibration records, FrontDoor routing and failover,
+// the CalibrationPlane's one-sweep-per-drift economics (lock win /
+// inline adopt / watch adopt / takeover / slow winner / failed sweep /
+// unlockable store), and the chaos scenario: a replica killed mid-drift
+// under armed net.drop + vm.trap faults must not cost a single admitted
+// request its reply.
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/file.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -16,8 +20,10 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,9 +121,9 @@ fleet_variants(int approx_sleep_ms = 0)
 
 void
 register_fleet_kernel(serve::ApproxService& service,
-                      int approx_sleep_ms = 0)
+                      std::vector<Variant> variants = fleet_variants())
 {
-    service.register_kernel("k", fleet_variants(approx_sleep_ms),
+    service.register_kernel("k", std::move(variants),
                             Metric::MeanRelativeError, 90.0, {1, 2, 3});
 }
 
@@ -141,6 +147,27 @@ calibrated_state()
                          90.0);
     tuner.calibrate({1, 2, 3});
     return tuner.calibration_state();
+}
+
+store::FleetCalibrationArtifact
+fleet_artifact()
+{
+    store::FleetCalibrationArtifact artifact;
+    artifact.calibration = calibrated_state();
+    artifact.toq = 90.0;
+    artifact.metric = runtime::to_string(Metric::MeanRelativeError);
+    return artifact;
+}
+
+/// Publish @p artifact as the next fleet version through a fresh store
+/// handle on @p dir, as a peer replica would; 0 when the lock is taken.
+std::uint64_t
+publish_as_peer(const std::filesystem::path& dir,
+                store::FleetCalibrationArtifact artifact = fleet_artifact())
+{
+    store::ArtifactStore store(dir);
+    const store::FleetLock lock = store.try_lock_fleet(fleet_key());
+    return store.publish_fleet_calibration(lock, std::move(artifact));
 }
 
 bool
@@ -340,43 +367,153 @@ TEST_F(WireTest, ArmedNetDropShutsTheConnectionDown)
     listener.close();
 }
 
-// ---- Drift leases and fleet calibration records ----------------------------
+// ---- The drift lock and fleet calibration records --------------------------
 
-TEST_F(LeaseTest, LeaseIsExclusiveUntilReleased)
+using LockState = store::FleetLock::State;
+
+/// The drift lock's sidecar for fleet_key() (docs/store.md names it).
+std::filesystem::path
+lock_file(const store::ArtifactStore& store)
 {
-    TempDir dir("lease");
-    store::ArtifactStore store(dir.path);
-    const auto key = fleet_key();
-
-    const auto token = store.try_acquire_lease(key, "alpha", 60000);
-    ASSERT_TRUE(token.has_value());
-    // A live lease turns every other claimant away.
-    EXPECT_FALSE(store.try_acquire_lease(key, "beta", 60000).has_value());
-    EXPECT_FALSE(
-        store.try_acquire_lease(key, "alpha", 60000).has_value());
-
-    // Wrong owner or wrong token must not release someone else's lease.
-    store.release_lease(key, "beta", *token);
-    store.release_lease(key, "alpha", *token + 1);
-    EXPECT_FALSE(store.try_acquire_lease(key, "beta", 60000).has_value());
-
-    store.release_lease(key, "alpha", *token);
-    EXPECT_TRUE(store.try_acquire_lease(key, "beta", 60000).has_value());
+    return store.path_for(fleet_key(), store::ArtifactKind::FleetCalibration)
+               .string() +
+           ".lock";
 }
 
-TEST_F(LeaseTest, ExpiredLeaseIsStolen)
+TEST_F(LeaseTest, HandlesInOneProcessContendUntilTheHolderIsDestroyed)
 {
-    TempDir dir("steal");
-    store::ArtifactStore store(dir.path);
+    TempDir dir("lock");
+    store::ArtifactStore alpha(dir.path);
+    store::ArtifactStore beta(dir.path);
     const auto key = fleet_key();
 
-    ASSERT_TRUE(store.try_acquire_lease(key, "dead", 1).has_value());
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    const auto stolen = store.try_acquire_lease(key, "alive", 60000);
-    ASSERT_TRUE(stolen.has_value());
-    const auto lease = store.read_lease(key);
-    ASSERT_TRUE(lease.has_value());
-    EXPECT_EQ(lease->owner, "alive");
+    store::FleetLock holder = alpha.try_lock_fleet(key);
+    ASSERT_TRUE(holder.held());
+    // flock() conflicts between separate open()s, even in one process
+    // and through the same store handle.
+    EXPECT_EQ(beta.try_lock_fleet(key).state(), LockState::Contended);
+    EXPECT_EQ(alpha.try_lock_fleet(key).state(), LockState::Contended);
+    // Another key's drift event is independent.
+    auto other = key;
+    other.kernel = "other";
+    EXPECT_TRUE(beta.try_lock_fleet(other).held());
+
+    {
+        // A moved handle keeps the lock; the moved-from one holds
+        // nothing.
+        const store::FleetLock moved = std::move(holder);
+        EXPECT_FALSE(holder.held());
+        EXPECT_EQ(beta.try_lock_fleet(key).state(), LockState::Contended);
+    }
+    // Destroying the holding handle frees the key.
+    EXPECT_TRUE(beta.try_lock_fleet(key).held());
+}
+
+TEST_F(LeaseTest, KilledHolderProcessFreesTheLock)
+{
+    TempDir dir("lock-kill");
+    store::ArtifactStore store(dir.path);
+    const auto key = fleet_key();
+    // Computed before fork: the gtest binary is multithreaded, so the
+    // child may only make async-signal-safe calls.
+    const std::string path = lock_file(store).string();
+    const char* lock_path = path.c_str();
+
+    int ready[2];
+    ASSERT_EQ(::pipe(ready), 0);
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        const int fd = ::open(lock_path, O_CREAT | O_RDWR, 0644);
+        const char status =
+            fd >= 0 && ::flock(fd, LOCK_EX | LOCK_NB) == 0 ? 'L' : 'E';
+        if (::write(ready[1], &status, 1) != 1)
+            ::_exit(1);
+        for (;;)
+            ::pause();
+    }
+    ::close(ready[1]);
+    char status = 0;
+    const bool reported = ::read(ready[0], &status, 1) == 1;
+    ::close(ready[0]);
+    const LockState while_alive = store.try_lock_fleet(key).state();
+    ::kill(child, SIGKILL);
+    int wait_status = 0;
+    ASSERT_EQ(::waitpid(child, &wait_status, 0), child);
+
+    ASSERT_TRUE(reported);
+    EXPECT_EQ(status, 'L');
+    EXPECT_EQ(while_alive, LockState::Contended);
+    // The kernel dropped the dead holder's lock: no expiry to wait out.
+    EXPECT_TRUE(store.try_lock_fleet(key).held());
+}
+
+TEST_F(LeaseTest, RacingHandlesElectOneHolderAndPublishInTurn)
+{
+    TempDir dir("lock-race");
+    const auto key = fleet_key();
+
+    constexpr int kHandles = 8;
+    std::atomic<bool> go{false};
+    std::vector<store::FleetLock> locks(kHandles);
+    std::vector<std::thread> racers;
+    for (int i = 0; i < kHandles; ++i) {
+        racers.emplace_back([&, i] {
+            store::ArtifactStore store(dir.path);
+            while (!go.load())
+                std::this_thread::yield();
+            locks[i] = store.try_lock_fleet(key);
+        });
+    }
+    go.store(true);
+    for (auto& racer : racers)
+        racer.join();
+
+    int held = 0;
+    int contended = 0;
+    int winner = -1;
+    for (int i = 0; i < kHandles; ++i) {
+        if (locks[i].held()) {
+            ++held;
+            winner = i;
+        }
+        contended += locks[i].state() == LockState::Contended;
+    }
+    ASSERT_EQ(held, 1);
+    EXPECT_EQ(contended, kHandles - 1);
+
+    store::ArtifactStore store(dir.path);
+    EXPECT_EQ(store.publish_fleet_calibration(locks[winner],
+                                              fleet_artifact()),
+              1u);
+    // A handle that lost the race cannot publish.
+    EXPECT_EQ(store.publish_fleet_calibration(locks[(winner + 1) % kHandles],
+                                              fleet_artifact()),
+              0u);
+    locks.clear();
+
+    // The next holder publishes on top of the first.
+    const store::FleetLock next = store.try_lock_fleet(key);
+    ASSERT_TRUE(next.held());
+    EXPECT_EQ(store.publish_fleet_calibration(next, fleet_artifact()), 2u);
+    EXPECT_EQ(store.fleet_calibration_version(key), 2u);
+}
+
+TEST_F(LeaseTest, PruneKeepsTheLockFile)
+{
+    TempDir dir("lock-prune");
+    store::ArtifactStore store(dir.path);
+
+    ASSERT_EQ(publish_as_peer(dir.path), 1u);
+    ASSERT_TRUE(std::filesystem::exists(lock_file(store)));
+    ASSERT_EQ(store.list().size(), 1u);  // The record, not the sidecar.
+
+    // The lock lives on the sidecar's inode; deleting it would let two
+    // holders lock two different files.
+    EXPECT_EQ(store.prune(/*everything=*/true), 1u);
+    EXPECT_TRUE(std::filesystem::exists(lock_file(store)));
+    EXPECT_TRUE(store.list().empty());
+    EXPECT_EQ(store.fleet_calibration_version(fleet_key()), 0u);
 }
 
 TEST_F(LeaseTest, FleetCalibrationVersioning)
@@ -387,17 +524,15 @@ TEST_F(LeaseTest, FleetCalibrationVersioning)
 
     EXPECT_EQ(store.fleet_calibration_version(key), 0u);
 
-    store::FleetCalibrationArtifact artifact;
-    artifact.calibration = calibrated_state();
+    auto artifact = fleet_artifact();
     artifact.quarantined = {"good"};
-    artifact.toq = 90.0;
-    artifact.metric = runtime::to_string(Metric::MeanRelativeError);
-    // Version 0 is the "nothing published" sentinel — unwritable.
-    artifact.version = 0;
-    EXPECT_FALSE(store.save_fleet_calibration(key, artifact));
-
-    artifact.version = 1;
-    ASSERT_TRUE(store.save_fleet_calibration(key, artifact));
+    // The publish numbers versions itself, under the lock.
+    artifact.version = 7;
+    {
+        const store::FleetLock lock = store.try_lock_fleet(key);
+        ASSERT_TRUE(lock.held());
+        EXPECT_EQ(store.publish_fleet_calibration(lock, artifact), 1u);
+    }
     EXPECT_EQ(store.fleet_calibration_version(key), 1u);
 
     const auto loaded = store.load_fleet_calibration(key);
@@ -407,52 +542,20 @@ TEST_F(LeaseTest, FleetCalibrationVersioning)
     EXPECT_EQ(loaded->calibration.profiles.size(),
               artifact.calibration.profiles.size());
 
+    // Only a lock held on this store's directory publishes.
+    EXPECT_EQ(store.publish_fleet_calibration(store::FleetLock(), artifact),
+              0u);
+    TempDir elsewhere("fleet-elsewhere");
+    const store::FleetLock foreign =
+        store::ArtifactStore(elsewhere.path).try_lock_fleet(key);
+    ASSERT_TRUE(foreign.held());
+    EXPECT_EQ(store.publish_fleet_calibration(foreign, artifact), 0u);
+    EXPECT_EQ(store.fleet_calibration_version(key), 1u);
+
     // A record under one key must not answer for another kernel's.
     auto other = key;
     other.kernel = "other";
     EXPECT_EQ(store.fleet_calibration_version(other), 0u);
-}
-
-TEST_F(LeaseTest, PublishersFromOneBaseElectOneWinner)
-{
-    // Sweeps that all started from version 0 — a lease winner and the
-    // zombies whose leases expired under them — finish at once, each
-    // through its own store handle: exactly one may write version 1.
-    TempDir dir("publish");
-    const auto key = fleet_key();
-    store::FleetCalibrationArtifact artifact;
-    artifact.calibration = calibrated_state();
-    artifact.toq = 90.0;
-    artifact.metric = runtime::to_string(Metric::MeanRelativeError);
-
-    constexpr int kPublishers = 8;
-    std::atomic<bool> go{false};
-    std::atomic<int> published{0};
-    std::atomic<int> saw_other_version{0};
-    std::vector<std::thread> publishers;
-    for (int i = 0; i < kPublishers; ++i) {
-        publishers.emplace_back([&] {
-            store::ArtifactStore store(dir.path);
-            while (!go.load())
-                std::this_thread::yield();
-            const auto result =
-                store.publish_fleet_calibration(key, 0, artifact);
-            (result.published ? published : saw_other_version)
-                .fetch_add(1);
-            EXPECT_EQ(result.version, 1u);
-        });
-    }
-    go.store(true);
-    for (auto& publisher : publishers)
-        publisher.join();
-
-    EXPECT_EQ(published.load(), 1);
-    EXPECT_EQ(saw_other_version.load(), kPublishers - 1);
-    store::ArtifactStore store(dir.path);
-    EXPECT_EQ(store.fleet_calibration_version(key), 1u);
-    // The next drift event publishes on top, from the version it saw.
-    EXPECT_TRUE(store.publish_fleet_calibration(key, 1, artifact).published);
-    EXPECT_EQ(store.fleet_calibration_version(key), 2u);
 }
 
 // ---- FrontDoor -------------------------------------------------------------
@@ -601,21 +704,15 @@ struct PlaneHarness {
     serve::ApproxService service;
     CalibrationPlane plane;
 
-    PlaneHarness(const std::filesystem::path& dir, const std::string& id,
-                 PlaneConfig config = {}, int approx_sleep_ms = 0)
+    PlaneHarness(const std::filesystem::path& dir, PlaneConfig config = {},
+                 std::vector<Variant> variants = fleet_variants())
         : store(std::make_shared<store::ArtifactStore>(dir)),
           service(InProcessReplica::small_config()),
-          plane(service, store, with_id(std::move(config), id))
+          plane(service, store, config)
     {
-        register_fleet_kernel(service, approx_sleep_ms);
+        register_fleet_kernel(service, std::move(variants));
         plane.track("k", fleet_key());
         plane.start();
-    }
-
-    static PlaneConfig with_id(PlaneConfig config, const std::string& id)
-    {
-        config.replica_id = id;
-        return config;
     }
 
     void stop()
@@ -630,16 +727,16 @@ TEST_F(PlaneTest, OneDriftEventCostsOneFleetSweep)
     TempDir dir("plane");
     PlaneConfig config;
     config.watch_interval = std::chrono::milliseconds(10);
-    // Alpha's sweep sleeps so its lease is still held when beta's gate
+    // Alpha's sweep sleeps so its lock is still held when beta's gate
     // runs below — without it, a slow box can let alpha publish AND
     // beta's watch thread adopt between the two recalibrate calls, and
     // beta's raise becomes a legitimately new drift event (second
     // sweep), which is not the broadcast interleaving this test pins.
-    PlaneHarness alpha(dir.path, "alpha", config, /*approx_sleep_ms=*/30);
-    PlaneHarness beta(dir.path, "beta", config);
+    PlaneHarness alpha(dir.path, config, fleet_variants(30));
+    PlaneHarness beta(dir.path, config);
 
     // The same drift lands on both replicas (the fleet-wide broadcast
-    // case); the lease must collapse it to a single re-profiling sweep.
+    // case); the lock must collapse it to a single re-profiling sweep.
     alpha.service.recalibrate_kernel("k");
     beta.service.recalibrate_kernel("k");
 
@@ -674,8 +771,8 @@ TEST_F(PlaneTest, LatePublishLandsThroughTheWatchThread)
     TempDir dir("watch");
     PlaneConfig config;
     config.watch_interval = std::chrono::milliseconds(10);
-    PlaneHarness alpha(dir.path, "alpha", config);
-    PlaneHarness beta(dir.path, "beta", config);
+    PlaneHarness alpha(dir.path, config);
+    PlaneHarness beta(dir.path, config);
 
     // Only alpha sees the drift; beta must still converge onto the
     // published calibration via its version watch.
@@ -697,78 +794,150 @@ TEST_F(PlaneTest, TakeoverAfterLeaseWinnerDies)
     TempDir dir("takeover");
     PlaneConfig config;
     config.watch_interval = std::chrono::milliseconds(10);
-    config.adoption_timeout = std::chrono::milliseconds(60);
-    PlaneHarness beta(dir.path, "beta", config);
+    PlaneHarness beta(dir.path, config);
 
-    // A ghost replica won the drift lease and died mid-recalibration:
-    // its lease expires with nothing published.
-    ASSERT_TRUE(beta.store->try_acquire_lease(fleet_key(), "ghost", 40)
-                    .has_value());
+    // A ghost replica holds the drift lock: it won the event and is
+    // still recalibrating.
+    auto ghost_store = std::make_optional<store::ArtifactStore>(dir.path);
+    auto ghost = std::make_optional(ghost_store->try_lock_fleet(fleet_key()));
+    ASSERT_TRUE(ghost->held());
 
+    // Beta loses the race and waits, however long the ghost lives.
     beta.service.recalibrate_kernel("k");
-    // Beta loses the race first...
-    ASSERT_TRUE(wait_until(
-        [&] { return beta.plane.stats().lease_losses >= 1; }));
+    EXPECT_EQ(beta.plane.stats().lease_losses, 1u);
     EXPECT_EQ(
         beta.service.metrics().snapshot().suppressed_recalibrations, 1u);
+    EXPECT_TRUE(beta.service.awaiting_adoption("k"));
+    const std::uint64_t polls = beta.plane.stats().watch_polls;
+    ASSERT_TRUE(wait_until(
+        [&] { return beta.plane.stats().watch_polls >= polls + 5; }));
+    EXPECT_EQ(beta.plane.stats().takeovers, 0u);
 
-    // ...then times out awaiting adoption, steals the expired lease,
-    // and finishes the drift event itself.
-    ASSERT_TRUE(wait_until([&] {
-        const auto stats = beta.plane.stats();
-        return stats.takeovers >= 1 && stats.published_calibrations >= 1;
-    }));
+    // The ghost dies mid-sweep, publishing nothing: the kernel drops its
+    // lock, and beta's next poll takes the event over and finishes it.
+    ghost.reset();
+    ghost_store.reset();
+    ASSERT_TRUE(wait_until(
+        [&] {
+            const auto stats = beta.plane.stats();
+            return stats.takeovers >= 1 && stats.published_calibrations >= 1;
+        },
+        std::chrono::milliseconds(1000)));
+    EXPECT_EQ(beta.plane.stats().takeovers, 1u);
     EXPECT_EQ(beta.service.metrics().snapshot().recalibrations, 1u);
-    EXPECT_GE(beta.plane.stats().lease_wins, 1u);
+    EXPECT_EQ(beta.plane.stats().lease_wins, 1u);
     EXPECT_FALSE(beta.service.awaiting_adoption("k"));
     EXPECT_EQ(beta.store->fleet_calibration_version(fleet_key()), 1u);
 
     beta.stop();
 }
 
-TEST_F(PlaneTest, LostLeasePublishIsRedundantNotClobbering)
+TEST_F(PlaneTest, SlowWinnerHoldsTheLockThroughItsPublish)
 {
-    TempDir dir("zombie");
-    PlaneConfig slow;
-    slow.watch_interval = std::chrono::milliseconds(10);
-    slow.lease_ttl = std::chrono::milliseconds(30);
-    // Alpha's re-profiling sweep (sleeping variant) far outlives its
-    // lease: the fleet is entitled to treat it as dead.  The sweep must
-    // also outlast the 35 ms wait below by a wide margin — if a loaded
-    // box lets alpha publish before beta's gate runs, beta's raise is a
-    // new drift event and nothing is redundant.
-    PlaneHarness alpha(dir.path, "alpha", slow, /*approx_sleep_ms=*/250);
-    PlaneConfig fast;
-    fast.watch_interval = std::chrono::milliseconds(10);
-    PlaneHarness beta(dir.path, "beta", fast);
+    TempDir dir("slow");
+    PlaneConfig config;
+    config.watch_interval = std::chrono::milliseconds(10);
+    // Alpha's re-profiling sweep sleeps far past the 35 ms wait below,
+    // so beta's drift lands mid-sweep.
+    PlaneHarness alpha(dir.path, config, fleet_variants(250));
+    PlaneHarness beta(dir.path, config);
 
     alpha.service.recalibrate_kernel("k");
     EXPECT_EQ(alpha.plane.stats().lease_wins, 1u);
-
-    // Wait out alpha's lease; beta's gate then steals it and runs its
-    // own sweep.  Whichever sweep completes second finds the fleet
-    // version moved: its publish must count itself redundant and adopt
-    // the winner's record instead of clobbering it.
     std::this_thread::sleep_for(std::chrono::milliseconds(35));
+    // However slow the sweep, its lock holds until it publishes: beta
+    // waits instead of sweeping a second time.
     beta.service.recalibrate_kernel("k");
-    EXPECT_EQ(beta.plane.stats().lease_wins, 1u);
+    EXPECT_EQ(beta.plane.stats().lease_losses, 1u);
+    EXPECT_TRUE(beta.service.awaiting_adoption("k"));
 
     ASSERT_TRUE(wait_until([&] {
-        return alpha.plane.stats().redundant_recalibrations +
-                   beta.plane.stats().redundant_recalibrations >=
-               1;
+        return beta.service.metrics().snapshot().adopted_calibrations >= 1;
     }));
+    const auto am = alpha.service.metrics().snapshot();
+    const auto bm = beta.service.metrics().snapshot();
+    EXPECT_EQ(am.recalibrations + bm.recalibrations, 1u);
+    EXPECT_EQ(bm.adopted_calibrations, 1u);
+    EXPECT_EQ(bm.suppressed_recalibrations, 1u);
     const auto a = alpha.plane.stats();
     const auto b = beta.plane.stats();
     EXPECT_EQ(a.published_calibrations + b.published_calibrations, 1u);
-    EXPECT_EQ(a.redundant_recalibrations + b.redundant_recalibrations, 1u);
-    const auto am = alpha.service.metrics().snapshot();
-    const auto bm = beta.service.metrics().snapshot();
-    EXPECT_GE(am.adopted_calibrations + bm.adopted_calibrations, 1u);
+    EXPECT_EQ(a.redundant_recalibrations + b.redundant_recalibrations, 0u);
+    EXPECT_EQ(a.takeovers + b.takeovers, 0u);
+    EXPECT_FALSE(beta.service.awaiting_adoption("k"));
     EXPECT_EQ(beta.store->fleet_calibration_version(fleet_key()), 1u);
 
     alpha.stop();
     beta.stop();
+}
+
+TEST_F(PlaneTest, FailedSweepReleasesTheLockAndKeepsAdopting)
+{
+    // The exact variant traps on the drifted inputs, so alpha's won
+    // sweep throws (Tuner::calibrate refuses a trapping exact kernel).
+    // The recalibration's end must still drop the lock: a stranded lock
+    // would make every watch poll skip the kernel, and alpha would never
+    // adopt the fleet's next publish.
+    TempDir dir("failed");
+    PlaneConfig config;
+    config.watch_interval = std::chrono::milliseconds(10);
+    auto variants = fleet_variants();
+    variants[0].run = [exact = variants[0].run](std::uint64_t seed) {
+        if (seed < 9000)
+            return exact(seed);
+        VariantRun run;
+        run.trapped = true;
+        return run;
+    };
+    PlaneHarness alpha(dir.path, config, std::move(variants));
+
+    alpha.service.recalibrate_kernel("k", {9001, 9002});
+    alpha.service.drain();
+    EXPECT_EQ(alpha.plane.stats().lease_wins, 1u);
+    EXPECT_EQ(alpha.plane.stats().published_calibrations, 0u);
+
+    // A peer resolves the next drift event; alpha adopts it through its
+    // watch thread, with no new drift of its own.
+    ASSERT_EQ(publish_as_peer(dir.path), 1u);
+    EXPECT_TRUE(wait_until(
+        [&] {
+            return alpha.service.metrics().snapshot().adopted_calibrations ==
+                   1;
+        },
+        std::chrono::milliseconds(1000)));
+    EXPECT_EQ(alpha.service.metrics().snapshot().recalibrations, 1u);
+
+    alpha.stop();
+}
+
+TEST_F(PlaneTest, UnlockableStoreRecalibratesLocally)
+{
+    // The store directory sits below a regular file, so every open()
+    // fails (ENOTDIR, even as root).  A plane that cannot lock cannot
+    // arbitrate: the drift must recalibrate locally rather than wait
+    // for a publish that can never come.
+    TempDir dir("unlockable");
+    const std::filesystem::path file = dir.path / "file";
+    { std::ofstream(file) << "not a directory"; }
+    PlaneConfig config;
+    config.watch_interval = std::chrono::milliseconds(10);
+    PlaneHarness alpha(file / "store", config);
+
+    alpha.service.recalibrate_kernel("k");
+    alpha.service.drain();
+    const auto metrics = alpha.service.metrics().snapshot();
+    EXPECT_EQ(metrics.recalibrations, 1u);
+    EXPECT_EQ(metrics.suppressed_recalibrations, 0u);
+    EXPECT_FALSE(alpha.service.awaiting_adoption("k"));
+    // Polls keep running without re-driving anything.
+    const std::uint64_t polls = alpha.plane.stats().watch_polls;
+    ASSERT_TRUE(wait_until(
+        [&] { return alpha.plane.stats().watch_polls >= polls + 3; }));
+    EXPECT_EQ(alpha.plane.stats().takeovers, 0u);
+    EXPECT_EQ(alpha.plane.stats().lease_losses, 0u);
+    EXPECT_EQ(alpha.service.metrics().snapshot().recalibrations, 1u);
+
+    alpha.stop();
 }
 
 TEST_F(PlaneTest, LateJoinerAdoptsTheFleetsCurrentRecord)
@@ -778,21 +947,13 @@ TEST_F(PlaneTest, LateJoinerAdoptsTheFleetsCurrentRecord)
     // before the drift).  Its first watch poll must install the fleet's
     // record, or it keeps serving the verdicts its peers dropped.
     TempDir dir("late");
-    {
-        store::ArtifactStore store(dir.path);
-        store::FleetCalibrationArtifact artifact;
-        artifact.calibration = calibrated_state();
-        artifact.quarantined = {"good"};
-        artifact.toq = 90.0;
-        artifact.metric = runtime::to_string(Metric::MeanRelativeError);
-        ASSERT_TRUE(
-            store.publish_fleet_calibration(fleet_key(), 0, artifact)
-                .published);
-    }
+    auto artifact = fleet_artifact();
+    artifact.quarantined = {"good"};
+    ASSERT_EQ(publish_as_peer(dir.path, std::move(artifact)), 1u);
 
     PlaneConfig config;
     config.watch_interval = std::chrono::milliseconds(10);
-    PlaneHarness late(dir.path, "late", config);
+    PlaneHarness late(dir.path, config);
     ASSERT_TRUE(wait_until(
         [&] {
             return late.service.metrics().snapshot().adopted_calibrations >=
@@ -853,7 +1014,7 @@ TEST_F(PlaneTest, AdoptedQuarantineOpensLocalBreaker)
 TEST_F(ReplicaTest, StatsReplyMirrorsServiceAndPlaneCounters)
 {
     TempDir dir("stats");
-    PlaneHarness alpha(dir.path, "alpha");
+    PlaneHarness alpha(dir.path);
     ReplicaServer server(alpha.service, &alpha.plane,
                          {"alpha", (dir.path / "a.sock").string()});
     ASSERT_TRUE(server.start());
@@ -883,10 +1044,7 @@ TEST_F(ReplicaTest, StatsReplyMirrorsServiceAndPlaneCounters)
     alpha.plane.poll_now();
     alpha.plane.stop();
 
-    const auto reply = door.call(0, MsgType::StatsRequest, {});
-    ASSERT_TRUE(reply.has_value());
-    ASSERT_EQ(reply->type, MsgType::StatsReply);
-    const auto stats = ReplicaStats::decode(reply->payload);
+    const auto stats = door.replica_stats(0);
     ASSERT_TRUE(stats.has_value());
     EXPECT_EQ(stats->replica, "alpha");
     const serve::MetricsSnapshot metrics =
@@ -920,12 +1078,10 @@ TEST_F(ChaosScaleoutTest, KilledReplicaMidDriftLosesNoRequests)
 
     PlaneConfig config;
     config.watch_interval = std::chrono::milliseconds(10);
-    config.adoption_timeout = std::chrono::milliseconds(80);
-    config.lease_ttl = std::chrono::milliseconds(60);
     // Alpha's re-profiling sweep sleeps, so the abort below lands
-    // mid-drift, with the lease held.
-    PlaneHarness alpha(dir.path, "alpha", config, /*approx_sleep_ms=*/30);
-    PlaneHarness beta(dir.path, "beta", config);
+    // mid-drift, with the lock held.
+    PlaneHarness alpha(dir.path, config, fleet_variants(30));
+    PlaneHarness beta(dir.path, config);
 
     ReplicaServer alpha_server(alpha.service, &alpha.plane,
                                {"alpha", (dir.path / "a.sock").string()});
@@ -979,7 +1135,7 @@ TEST_F(ChaosScaleoutTest, KilledReplicaMidDriftLosesNoRequests)
         });
     }
 
-    // Drift lands fleet-wide; alpha wins the lease (beta's gate runs
+    // Drift lands fleet-wide; alpha takes the lock (beta's gate runs
     // after alpha's sweep started) and is killed mid-sweep.
     alpha.service.recalibrate_kernel("k");
     EXPECT_EQ(alpha.plane.stats().lease_wins, 1u);
@@ -997,9 +1153,9 @@ TEST_F(ChaosScaleoutTest, KilledReplicaMidDriftLosesNoRequests)
     EXPECT_EQ(door_stats.rejected_no_replica, 0u);
     EXPECT_FALSE(door.replica_alive(0));
 
-    // The drift event still resolves fleet-wide: either alpha's zombie
-    // publish lands (only its sockets were killed, not its service) or
-    // beta takes the event over after its adoption timeout.
+    // The drift event still resolves fleet-wide: alpha's publish lands
+    // (only its sockets were killed, not its service, so it still holds
+    // the lock through its sweep) and beta adopts it.
     ASSERT_TRUE(wait_until([&] {
         return alpha.plane.stats().published_calibrations +
                    beta.plane.stats().published_calibrations >=

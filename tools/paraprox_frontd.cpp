@@ -122,9 +122,7 @@ run_replica_worker(const std::string& id, const std::string& socket_path,
     config.num_workers = 2;
     serve::ApproxService service(config);
 
-    net::PlaneConfig plane_config;
-    plane_config.replica_id = id;
-    net::CalibrationPlane plane(service, store, plane_config);
+    net::CalibrationPlane plane(service, store);
 
     const auto device = device::DeviceModel::gtx560();
     for (auto& app : fleet_apps()) {
@@ -152,7 +150,7 @@ run_replica_worker(const std::string& id, const std::string& socket_path,
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
     // Graceful local drain: stop taking connections, serve what is
-    // queued, release any held drift lease.
+    // queued, drop any held drift lock.
     server.stop();
     service.stop();
     plane.stop();
@@ -174,21 +172,6 @@ spawn_worker(const std::string& id, const std::string& socket_path,
     _exit(127);
 }
 
-/// Block until the worker's endpoint accepts a connection.
-bool
-wait_for_endpoint(const std::string& socket_path,
-                  std::chrono::milliseconds timeout)
-{
-    const auto give_up = std::chrono::steady_clock::now() + timeout;
-    while (std::chrono::steady_clock::now() < give_up) {
-        Socket probe = connect_unix(socket_path);
-        if (probe.valid())
-            return true;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return false;
-}
-
 /// Put supervisor-confirmed-healthy replicas back into the front door's
 /// rotation (a failure marks them dead; only the supervisor knows when
 /// the restarted process is answering again).
@@ -201,15 +184,6 @@ revive_restarted(net::FrontDoor& door, const net::Supervisor& supervisor)
         if (slots[i].healthy && !door.replica_alive(i))
             door.revive(i);
     }
-}
-
-std::optional<net::ReplicaStats>
-scrape_stats(net::FrontDoor& door, std::size_t index)
-{
-    const auto reply = door.call(index, net::MsgType::StatsRequest, {});
-    if (!reply || reply->type != net::MsgType::StatsReply)
-        return std::nullopt;
-    return net::ReplicaStats::decode(reply->payload);
 }
 
 /// Graceful fleet drain: stop restarting, ask every worker to stop over
@@ -373,8 +347,8 @@ main(int argc, char** argv)
         std::printf("injected drift on `%s` fleet-wide\n", drifted.c_str());
 
         // Wait for the event to resolve: every reachable replica either
-        // published its own recalibration, adopted the winner's, or lost
-        // the publish race — all terminal, so the stats below are final.
+        // published its own recalibration or adopted the winner's — both
+        // terminal, so the stats below are final.
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(30);
         std::size_t resolved = 0;
@@ -382,10 +356,9 @@ main(int argc, char** argv)
                !g_drain_requested) {
             resolved = 0;
             for (std::size_t i = 0; i < endpoints.size(); ++i) {
-                if (const auto stats = scrape_stats(door, i);
+                if (const auto stats = door.replica_stats(i);
                     stats && stats->published_calibrations +
-                                     stats->adopted_calibrations +
-                                     stats->redundant_recalibrations >
+                                     stats->adopted_calibrations >
                                  0)
                     ++resolved;
             }
@@ -402,7 +375,7 @@ main(int argc, char** argv)
                 "replica", "served", "recals", "suppr", "adopt", "reject",
                 "wins", "losses", "publ", "redund", "takeov");
     for (std::size_t i = 0; i < endpoints.size(); ++i) {
-        const auto stats = scrape_stats(door, i);
+        const auto stats = door.replica_stats(i);
         if (!stats) {
             std::printf("  %-12s (unreachable)\n",
                         endpoints[i].id.c_str());

@@ -48,8 +48,6 @@ kind_name(ArtifactKind kind)
         return "calibration";
     case ArtifactKind::FleetCalibration:
         return "fleet";
-    case ArtifactKind::Lease:
-        return "lease";
     }
     return "unknown";
 }
