@@ -86,7 +86,7 @@ run_figure()
     std::printf("  modeled-cycle geomean:      GPU %.2fx, CPU %.2fx\n",
                 stats::geomean(gpu_speedups),
                 stats::geomean(cpu_speedups));
-    std::printf("  wall-clock mean speedup:    GPU-model %.2fx, "
+    std::printf("  Fast-mode wall mean speedup: GPU-model %.2fx, "
                 "CPU-model %.2fx\n",
                 stats::mean(gpu_wall), stats::mean(cpu_wall));
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "exec/launch.h"
@@ -47,64 +48,82 @@ Tuner::calibrate(const std::vector<std::uint64_t>& training_seeds,
     PARAPROX_CHECK(!training_seeds.empty(),
                    "calibration needs at least one training input");
 
-    // Materialize every (variant, seed) execution first — in parallel when
-    // requested — then aggregate serially in a fixed order.  Selection is
-    // decided by modeled cycles, which are deterministic per run, so the
-    // parallel sweep picks the same variant as a serial one; wall times are
-    // advisory and may be skewed by concurrency.  The sweep runs outside
-    // the tuner lock so concurrent serve_batch() callers keep serving the
-    // previous selection during a recalibration.
+    // Job v < V prices variant v once, instrumented, on the first
+    // training input; job V + v * S + s runs variant v on seed s in Fast
+    // mode.  The priced jobs cost ~10x a Fast one and go first, so the
+    // dynamic scheduler does not end on one.  Results are aggregated
+    // serially in a fixed order, so a parallel sweep selects what a
+    // serial one does; wall times are advisory under concurrency.  The
+    // sweep runs outside the tuner lock so concurrent serve_batch()
+    // callers keep serving the previous selection during a
+    // recalibration.
+    const std::size_t num_variants = variants_.size();
     const std::size_t num_seeds = training_seeds.size();
-    std::vector<VariantRun> runs(variants_.size() * num_seeds);
+    std::vector<VariantRun> priced(num_variants);
+    std::vector<VariantRun> fast(num_variants * num_seeds);
     auto run_one = [&](std::size_t job) {
-        const std::size_t v = job / num_seeds;
-        const std::size_t s = job % num_seeds;
-        runs[job] = variants_[v].run(training_seeds[s]);
+        if (job < num_variants) {
+            priced[job] = variants_[job].run(training_seeds[0]);
+        } else {
+            job -= num_variants;
+            fast[job] = execute(static_cast<int>(job / num_seeds),
+                                training_seeds[job % num_seeds]);
+        }
     };
+    const std::size_t jobs = num_variants * (1 + num_seeds);
     if (parallel) {
-        ThreadPool::global().parallel_for(runs.size(), run_one);
+        ThreadPool::global().parallel_for(jobs, run_one);
     } else {
-        for (std::size_t job = 0; job < runs.size(); ++job)
+        for (std::size_t job = 0; job < jobs; ++job)
             run_one(job);
     }
 
-    std::lock_guard<std::mutex> lock(mutex_);
-    profiles_.assign(variants_.size(), {});
+    // Cycles come from the priced run and quality from the Fast runs, so
+    // a variant's two outputs on the first input must be bit-identical
+    // or, as float atomics sum in an order set by the mode and the
+    // scheduler, within the TOQ of each other; else it counts as trapped.
+    auto usable = [&](std::size_t v) {
+        const VariantRun* runs = &fast[v * num_seeds];
+        if (priced[v].trapped ||
+            std::any_of(runs, runs + num_seeds,
+                        [](const VariantRun& run) { return run.trapped; }))
+            return false;
+        const std::vector<float>& a = priced[v].output;
+        const std::vector<float>& b = runs[0].output;
+        const std::size_t bytes = a.size() * sizeof(float);
+        return a.size() == b.size() &&
+               (std::memcmp(a.data(), b.data(), bytes) == 0 ||
+                quality_percent(metric_, a, b) >= toq_);
+    };
+    auto fast_wall = [&](std::size_t v) {
+        double wall = 0.0;
+        for (std::size_t s = 0; s < num_seeds; ++s)
+            wall += fast[v * num_seeds + s].wall_seconds;
+        return wall;
+    };
 
-    const VariantRun* exact_runs = runs.data();
-    double exact_cycles = 0.0;
-    double exact_wall = 0.0;
-    for (std::size_t s = 0; s < num_seeds; ++s) {
-        PARAPROX_CHECK(!exact_runs[s].trapped,
-                       "exact kernel trapped during calibration");
-        exact_cycles += exact_runs[s].modeled_cycles;
-        exact_wall += exact_runs[s].wall_seconds;
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    PARAPROX_CHECK(usable(0),
+                   "exact kernel trapped during calibration, or its priced "
+                   "and Fast outputs differ beyond the TOQ");
+    const double exact_cycles = priced[0].modeled_cycles;
+    const double exact_wall = fast_wall(0);
+    profiles_.assign(num_variants, {});
     profiles_[0] = {variants_[0].label, 1.0, 1.0, 100.0, true, false};
 
-    for (std::size_t v = 1; v < variants_.size(); ++v) {
+    for (std::size_t v = 1; v < num_variants; ++v) {
         VariantProfile& profile = profiles_[v];
         profile.label = variants_[v].label;
-        double cycles = 0.0;
-        double wall = 0.0;
-        double quality_acc = 0.0;
-        bool trapped = false;
-        for (std::size_t s = 0; s < num_seeds; ++s) {
-            const VariantRun& run = runs[v * num_seeds + s];
-            if (run.trapped) {
-                trapped = true;
-                break;
-            }
-            cycles += run.modeled_cycles;
-            wall += run.wall_seconds;
-            quality_acc += quality_percent(metric_, exact_runs[s].output,
-                                           run.output);
-        }
-        if (trapped) {
+        if (!usable(v)) {
             profile.trapped = true;
-            profile.meets_toq = false;
             continue;
         }
+        double quality_acc = 0.0;
+        for (std::size_t s = 0; s < num_seeds; ++s)
+            quality_acc += quality_percent(metric_, fast[s].output,
+                                           fast[v * num_seeds + s].output);
+        const double cycles = priced[v].modeled_cycles;
+        const double wall = fast_wall(v);
         profile.quality = quality_acc / static_cast<double>(num_seeds);
         profile.speedup = cycles > 0.0 ? exact_cycles / cycles : 1.0;
         profile.wall_speedup = wall > 0.0 ? exact_wall / wall : 1.0;
@@ -196,25 +215,12 @@ Tuner::recalibrate(const std::vector<std::uint64_t>& training_seeds,
     return profiles;
 }
 
-void
-Tuner::set_serving_mode(vm::ExecMode mode)
-{
-    serving_mode_.store(mode, std::memory_order_relaxed);
-}
-
-vm::ExecMode
-Tuner::serving_mode() const
-{
-    return serving_mode_.load(std::memory_order_relaxed);
-}
-
 VariantRun
 Tuner::execute(int index, std::uint64_t input_seed) const
 {
     const Variant& variant = variants_[index];
-    if (serving_mode() == vm::ExecMode::Fast && variant.run_fast)
-        return variant.run_fast(input_seed);
-    return variant.run(input_seed);
+    return variant.run_fast ? variant.run_fast(input_seed)
+                            : variant.run(input_seed);
 }
 
 std::vector<ServedRun>
@@ -223,8 +229,7 @@ Tuner::run_with_fallback(int index,
 {
     const Variant& variant = variants_[index];
     std::vector<VariantRun> runs;
-    if (input_seeds.size() > 1 && variant.run_batch &&
-        serving_mode() == vm::ExecMode::Fast) {
+    if (input_seeds.size() > 1 && variant.run_batch) {
         runs = variant.run_batch(input_seeds);
         PARAPROX_CHECK(runs.size() == input_seeds.size(),
                        "run_batch returned a short batch");
@@ -353,13 +358,6 @@ Tuner::set_quarantine(const QuarantineConfig& config)
                    "quarantine probe quota must be >= 1");
     std::lock_guard<std::mutex> lock(mutex_);
     quarantine_ = config;
-}
-
-QuarantineConfig
-Tuner::quarantine_config() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return quarantine_;
 }
 
 bool

@@ -11,7 +11,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -21,7 +20,6 @@
 
 #include "runtime/quality.h"
 #include "support/counters.h"
-#include "vm/bytecode.h"
 
 namespace paraprox::runtime {
 
@@ -56,20 +54,21 @@ struct Variant {
     /// Monotone knob-aggressiveness rank used for backoff ordering; the
     /// exact kernel is 0.
     int aggressiveness = 0;
-    /// Execute on the input identified by @p input_seed.
+    /// Priced execution on the input identified by @p input_seed: the
+    /// instrumented interpreter under the device model, which fills
+    /// modeled_cycles.  Calibration prices each variant once this way.
     std::function<VariantRun(std::uint64_t input_seed)> run;
-    /// Optional lean serving closure: identical outputs to `run`, but
+    /// Optional lean closure: `run`'s outputs (up to float-atomic order),
     /// executed in vm::ExecMode::Fast with no device pricing (its
-    /// modeled_cycles stays 0).  Used by the serving entry points when the
-    /// tuner's serving mode is Fast; when empty, `run` serves.
+    /// modeled_cycles stays 0).  Serving and calibration's per-input
+    /// quality runs use it; when empty, `run` stands in.
     std::function<VariantRun(std::uint64_t input_seed)> run_fast;
     /// Optional coalesced serving closure: execute every input in one
     /// launch over the concatenated index space (vm::ExecMode::Fast,
     /// unpriced), returning one run per seed in order — lookup tables are
     /// bound once for the whole batch and a trapped member poisons only
-    /// its own run.  Used by Tuner::serve_batch for two or more seeds when
-    /// the serving mode is Fast; when empty, batches fall back to per-seed
-    /// execution.
+    /// its own run.  Used by Tuner::serve_batch for two or more seeds;
+    /// when empty, batches fall back to per-seed execution.
     std::function<std::vector<VariantRun>(
         const std::vector<std::uint64_t>& input_seeds)>
         run_batch;
@@ -78,9 +77,15 @@ struct Variant {
 /// Profile data gathered for one variant during calibration.
 struct VariantProfile {
     std::string label;
-    double speedup = 1.0;     ///< Exact modeled cycles / variant's.
+    /// Exact's modeled cycles / the variant's, both priced on the first
+    /// training input.
+    double speedup = 1.0;
+    /// Exact's summed Fast-mode wall time over the training inputs / the
+    /// variant's.  Advisory: a parallel sweep runs them concurrently.
     double wall_speedup = 1.0;
-    double quality = 100.0;   ///< Against the exact output.
+    /// Mean over the training inputs of the quality of the variant's
+    /// Fast-mode output against exact's.
+    double quality = 100.0;
     bool meets_toq = false;
     bool trapped = false;
 };
@@ -185,12 +190,19 @@ class Tuner {
     /// one meeting the TOQ (modeled cycles decide; falls back to exact if
     /// none qualify).  Returns the profiles for inspection.
     ///
-    /// By default the variant x seed sweep runs on the global ThreadPool;
-    /// selection is unaffected because it is decided by deterministic
-    /// modeled cycles, aggregated in a fixed order after all runs finish.
-    /// Wall-clock speedups are advisory under concurrency.  Pass
-    /// @p parallel = false to force a serial sweep (identical profiles
-    /// except for wall times).
+    /// Each variant is priced once, by one `run` on training_seeds[0]
+    /// (a variant's cycle ranking barely depends on its input), and runs
+    /// every training input once in Fast mode (`run_fast`), which
+    /// supplies its quality, traps and wall time.  A variant whose priced
+    /// and Fast outputs on training_seeds[0] differ beyond the TOQ is
+    /// profiled as trapped; for the exact kernel, calibration fails.
+    ///
+    /// By default the sweep runs on the global ThreadPool; selection is
+    /// unaffected because it is decided by deterministic modeled cycles,
+    /// aggregated in a fixed order after all runs finish.  Wall-clock
+    /// speedups are advisory under concurrency.  Pass @p parallel = false
+    /// to force a serial sweep (identical profiles except for wall
+    /// times).
     const std::vector<VariantProfile>&
     calibrate(const std::vector<std::uint64_t>& training_seeds,
               bool parallel = true);
@@ -215,11 +227,10 @@ class Tuner {
     /// Thread-safe serving path: resolve the selection (and the ladder)
     /// once, then execute every seed against it without invoke()'s
     /// periodic quality audit — a serving layer is expected to own
-    /// auditing (see serve::QualityMonitor).  In Fast serving mode a
-    /// batch of two or more runs through the variant's run_batch closure
-    /// as one concatenated launch when the closure exists; a batch of
-    /// one, or any batch in Instrumented mode, runs per seed.  Counts
-    /// seeds.size() invocations.  Each trapped member reports its
+    /// auditing (see serve::QualityMonitor).  A batch of two or more
+    /// runs through the variant's run_batch closure as one concatenated
+    /// launch when the closure exists; a batch of one runs per seed.
+    /// Counts seeds.size() invocations.  Each trapped member reports its
     /// failure to the breaker and is re-served exact, without disturbing
     /// its batch-mates, and its ServedRun names the variant that
     /// actually produced it.  The selection is held fixed across the
@@ -239,7 +250,6 @@ class Tuner {
     /// Install a circuit-breaker policy (see QuarantineConfig).  Resets
     /// no breaker state; call before serving traffic.
     void set_quarantine(const QuarantineConfig& config);
-    QuarantineConfig quarantine_config() const;
 
     /// Report a health failure (trap or quality-audit miss) against
     /// variant @p index.  Counts it inside the failure window and opens
@@ -279,15 +289,6 @@ class Tuner {
     /// selection.  Thread-safe; takes effect on the next serve_batch().
     void set_degradation_level(int level);
     int degradation_level() const;
-
-    /// How invoke()/serve_batch()/run_exact() execute variants.
-    /// Calibration always uses the instrumented `run` closures — it needs
-    /// the modeled cycles — but steady-state serving can switch to
-    /// vm::ExecMode::Fast so requests stop paying for profiling (paper §5:
-    /// calibrate once, serve lean).  Thread-safe; takes effect on the next
-    /// execution.  No-op for variants without a run_fast closure.
-    void set_serving_mode(vm::ExecMode mode);
-    vm::ExecMode serving_mode() const;
 
     /// Capture the post-calibration tuning state for persistence (see
     /// store::ArtifactStore).  Requires a calibrated tuner.
@@ -365,16 +366,16 @@ class Tuner {
     /// Apply the degradation ladder to selected_.  Caller holds mutex_.
     int resolve_serving_index_locked(bool* degraded) const;
 
-    /// Execute variant @p index under the current serving mode.
+    /// Execute variant @p index on one input: `run_fast` when the variant
+    /// has it, `run` otherwise.
     VariantRun execute(int index, std::uint64_t input_seed) const;
 
     /// The one execute-and-fall-back step under invoke() and
     /// serve_batch(): run variant @p index on every seed (one run_batch
-    /// launch for two or more seeds in Fast mode when the variant has
-    /// the closure, per seed otherwise — each seed's launches under its
-    /// own token from the caller's exec::BatchCancelScope), then re-serve
-    /// each trapped member exact and charge the trap to the variant's
-    /// breaker.
+    /// launch for two or more seeds when the variant has the closure,
+    /// per seed otherwise — each seed's launches under its own token
+    /// from the caller's exec::BatchCancelScope), then re-serve each
+    /// trapped member exact and charge the trap to the variant's breaker.
     /// Cancelled members come back as-is — the token's owner decides
     /// what a cancelled run means, so there is no fallback and no
     /// breaker charge.
@@ -407,7 +408,6 @@ class Tuner {
     /// selection audits immediately, re-validating the stored profile
     /// against live inputs before trusting it for a full check interval.
     bool audit_next_ = false;
-    std::atomic<vm::ExecMode> serving_mode_{vm::ExecMode::Instrumented};
 };
 
 }  // namespace paraprox::runtime

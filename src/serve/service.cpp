@@ -87,10 +87,6 @@ ApproxService::register_family(
         training_seeds);
     state->pipeline_stats = family.stages;
 
-    // Calibration (already done above) runs the instrumented closures
-    // regardless; workers serve through the fast VM loop, so requests
-    // stop paying for profiling they never read.
-    state->tuner->set_serving_mode(vm::ExecMode::Fast);
     state->tuner->set_quarantine(config_.quarantine);
     // A service created while load shedding is already in effect brings
     // newly registered kernels onto the current ladder level.

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include "analysis/patterns.h"
 #include "apps/app.h"
+#include "runtime/quality.h"
 #include "runtime/tuner.h"
 
 namespace paraprox {
@@ -93,6 +95,48 @@ TEST_P(AppSuite, VariantsRunAndMeetToq)
         auto run = tuner.invoke(100 + i);
         EXPECT_FALSE(run.trapped);
         EXPECT_FALSE(run.output.empty());
+    }
+}
+
+TEST_P(AppSuite, PricingOnceKeepsTheMeanCycleFallbackChain)
+{
+    // Calibration prices each variant on its first training input only.
+    // Its fallback chain must still be the TOQ-passing variants ranked by
+    // their mean priced cycles over all training inputs, on both device
+    // models.
+    const std::vector<std::uint64_t> seeds = {11, 22, 33};
+    const runtime::Metric metric = app().info().metric;
+    for (const auto& device : {kGpu, device::DeviceModel::core_i7()}) {
+        auto variants = app().variants(device);
+        std::vector<double> cycles(variants.size(), 0.0);
+        std::vector<double> quality(variants.size(), 0.0);
+        std::vector<bool> trapped(variants.size(), false);
+        std::vector<std::vector<float>> exact(seeds.size());
+        for (std::size_t v = 0; v < variants.size(); ++v) {
+            for (std::size_t s = 0; s < seeds.size(); ++s) {
+                runtime::VariantRun run = variants[v].run(seeds[s]);
+                if (v == 0)
+                    exact[s] = run.output;
+                trapped[v] = trapped[v] || run.trapped;
+                cycles[v] += run.modeled_cycles / seeds.size();
+                quality[v] += runtime::quality_percent(metric, exact[s],
+                                                       run.output) /
+                              seeds.size();
+            }
+        }
+        std::vector<int> expected;
+        for (std::size_t v = 1; v < variants.size(); ++v) {
+            if (!trapped[v] && quality[v] >= 90.0)
+                expected.push_back(static_cast<int>(v));
+        }
+        std::sort(expected.begin(), expected.end(),
+                  [&](int a, int b) { return cycles[a] < cycles[b]; });
+        expected.push_back(0);
+
+        runtime::Tuner tuner(std::move(variants), metric, 90.0);
+        tuner.calibrate(seeds);
+        EXPECT_EQ(tuner.calibration_state().fallback_order, expected)
+            << app().info().name << " on " << device.name;
     }
 }
 

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -26,6 +25,7 @@
 #include "support/error.h"
 #include "support/faultinject.h"
 #include "vm/compiler.h"
+#include "temp_dir.h"
 
 namespace paraprox::serve {
 namespace {
@@ -448,10 +448,8 @@ TEST_F(ChaosServeTest, QueuePressureStepsTheLadderDownAndBack)
 
 TEST_F(ChaosServeTest, CorruptedStoreRecordFallsBackToColdCalibration)
 {
-    namespace fs = std::filesystem;
-    const auto dir = fs::temp_directory_path() / "paraprox-chaos-store";
-    fs::remove_all(dir);
-    const auto store = store::ArtifactStore::configure_global(dir);
+    const tests::TempDir dir("chaos-store");
+    const auto store = store::ArtifactStore::configure_global(dir.path);
 
     store::StoreKey key;
     key.kernel = "k";
@@ -500,7 +498,6 @@ TEST_F(ChaosServeTest, CorruptedStoreRecordFallsBackToColdCalibration)
     warm.stop();
 
     store::ArtifactStore::disable_global();
-    fs::remove_all(dir);
 }
 
 TEST_F(ChaosServeTest, MixedFaultsResolveEveryFutureWithExactAccounting)

@@ -14,7 +14,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <limits>
 #include <set>
 #include <vector>
@@ -32,6 +31,7 @@
 #include "support/rng.h"
 #include "vm/compiler.h"
 #include "vm/program_cache.h"
+#include "temp_dir.h"
 
 namespace paraprox::data {
 namespace {
@@ -701,10 +701,8 @@ TEST(DataTierTest, StoredPlanPackingAPinnedBufferIsRejected)
 
 TEST(DataTierTest, WarmRestartRestoresPlansWithZeroResearch)
 {
-    const auto dir = std::filesystem::temp_directory_path() /
-                     "paraprox-data-tier-warm-test";
-    std::filesystem::remove_all(dir);
-    store::ArtifactStore::configure_global(dir);
+    const tests::TempDir dir("data-tier-warm");
+    store::ArtifactStore::configure_global(dir.path);
     vm::ProgramCache::global().clear();
 
     const std::vector<std::uint64_t> seeds = {1, 2, 3};
@@ -743,7 +741,6 @@ TEST(DataTierTest, WarmRestartRestoresPlansWithZeroResearch)
 
     store::ArtifactStore::disable_global();
     vm::ProgramCache::global().clear();
-    std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -42,6 +42,7 @@
 #include "support/faultinject.h"
 #include "support/socket.h"
 #include "vm/compiler.h"
+#include "temp_dir.h"
 
 namespace paraprox::net {
 namespace {
@@ -50,24 +51,7 @@ using runtime::Metric;
 using runtime::Variant;
 using runtime::VariantRun;
 
-/// Fresh scratch directory per test; removed on destruction.
-struct TempDir {
-    std::filesystem::path path;
-
-    explicit TempDir(const std::string& tag)
-    {
-        static std::atomic<int> counter{0};
-        path = std::filesystem::temp_directory_path() /
-               ("paraprox-net-" + tag + "-" + std::to_string(::getpid()) +
-                "-" + std::to_string(counter.fetch_add(1)));
-        std::filesystem::create_directories(path);
-    }
-    ~TempDir()
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(path, ec);
-    }
-};
+using tests::TempDir;
 
 class NetTest : public ::testing::Test {
   protected:

@@ -22,20 +22,12 @@
 #include "store/artifact_store.h"
 #include "store/format.h"
 #include "vm/program_cache.h"
+#include "temp_dir.h"
 
 namespace paraprox::runtime {
 namespace {
 
-// Tests can run concurrently (gtest_discover_tests registers one ctest
-// entry per TEST) — give every store-using test its own directory.
-std::filesystem::path
-fresh_dir(const std::string& name)
-{
-    const auto dir = std::filesystem::temp_directory_path() /
-                     ("paraprox-pipeline-test-" + name);
-    std::filesystem::remove_all(dir);
-    return dir;
-}
+using tests::TempDir;
 
 /// The shared image pipeline at test scale (34x34 grid).
 PipelineSession
@@ -311,7 +303,8 @@ TEST(JointCalibrationTest, ParallelMatchesSerialAndRepeats)
 
 TEST(PipelineStoreTest, CalibrationRoundTripAndCorruptionMiss)
 {
-    const auto dir = fresh_dir("roundtrip");
+    const TempDir temp("pipeline-roundtrip");
+    const std::filesystem::path& dir = temp.path;
     store::ArtifactStore::configure_global(dir);
     vm::ProgramCache::global().clear();
 
@@ -371,7 +364,8 @@ TEST(PipelineStoreTest, CalibrationRoundTripAndCorruptionMiss)
 
 TEST(PipelineStoreTest, WarmStartSkipsJointSearch)
 {
-    store::ArtifactStore::configure_global(fresh_dir("warm-start"));
+    const TempDir dir("pipeline-warm-start");
+    store::ArtifactStore::configure_global(dir.path);
     vm::ProgramCache::global().clear();
     const std::vector<std::uint64_t> seeds = {kSeedA, kSeedB};
 
@@ -453,7 +447,8 @@ TEST(PipelineServeTest, RegisterPipelineServesAndAttributesStages)
 
 TEST(PipelineServeTest, SecondRegistrationIsWarm)
 {
-    store::ArtifactStore::configure_global(fresh_dir("serve-warm"));
+    const TempDir dir("pipeline-serve-warm");
+    store::ArtifactStore::configure_global(dir.path);
     vm::ProgramCache::global().clear();
 
     const auto register_once = [](const std::string& name) {
@@ -490,7 +485,8 @@ TEST(PipelineServeTest, WarmRegistrationAlignsSessionConfigs)
     // filled session.configs(), so a caller mapping the served variant
     // index back to per-stage members read an empty list after a warm
     // restart, while the cold branch filled it.
-    store::ArtifactStore::configure_global(fresh_dir("serve-warm-configs"));
+    const TempDir dir("pipeline-serve-warm-configs");
+    store::ArtifactStore::configure_global(dir.path);
     vm::ProgramCache::global().clear();
 
     {

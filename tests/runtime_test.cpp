@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <thread>
 
 #include "exec/launch.h"
@@ -518,24 +521,157 @@ TEST(TunerTest, ServeBatchUsesCoalescedClosureInFastMode)
     variants.push_back(std::move(good));
     Tuner tuner(std::move(variants), Metric::MeanRelativeError, 90.0);
     tuner.calibrate({1, 2, 3});
-
-    // Instrumented serving ignores the closure (it is Fast-only)...
-    tuner.serve_batch({7, 8});
+    // Calibration scores each training input through run_fast and never
+    // coalesces; count serving calls from here.
     EXPECT_EQ(batch_calls->load(), 0);
-    // ...Fast serving coalesces the whole batch into one closure call...
-    tuner.set_serving_mode(vm::ExecMode::Fast);
+    const int calibration_fast_calls = fast_calls->load();
+    EXPECT_EQ(calibration_fast_calls, 3);
+
+    // Serving coalesces a batch of two or more into one closure call...
     const BatchServed batch = tuner.serve_batch({7, 8, 9, 10});
     EXPECT_EQ(batch_calls->load(), 1);
+    EXPECT_EQ(fast_calls->load(), calibration_fast_calls);
     ASSERT_EQ(batch.runs.size(), 4u);
     EXPECT_FLOAT_EQ(batch.runs[3].run.output[0], 10.0f + 0.1f);
-    // ...but a batch of one has nothing to coalesce and stays on the
-    // per-seed path (run_fast when the variant has one).
-    EXPECT_EQ(fast_calls->load(), 0);
+    // ...but a batch of one has nothing to coalesce and runs the
+    // variant's run_fast closure.
     const BatchServed single = tuner.serve_batch({11});
     EXPECT_EQ(batch_calls->load(), 1);
-    EXPECT_EQ(fast_calls->load(), 1);
+    EXPECT_EQ(fast_calls->load(), calibration_fast_calls + 1);
     ASSERT_EQ(single.runs.size(), 1u);
     EXPECT_FLOAT_EQ(single.runs[0].run.output[0], 11.0f + 0.1f);
+}
+
+/// Seeds each closure kind of a calibration was called with.
+struct ClosureCalls {
+    std::mutex mutex;
+    std::vector<std::uint64_t> priced;
+    std::vector<std::uint64_t> fast;
+};
+
+/// @p variant with `run` and `run_fast` both wrapping its `run` and
+/// recording their seeds in @p calls.
+Variant
+counted(Variant variant, std::shared_ptr<ClosureCalls> calls)
+{
+    variant.run_fast = [calls, run = variant.run](std::uint64_t seed) {
+        {
+            std::lock_guard<std::mutex> lock(calls->mutex);
+            calls->fast.push_back(seed);
+        }
+        return run(seed);
+    };
+    variant.run = [calls, run = variant.run](std::uint64_t seed) {
+        {
+            std::lock_guard<std::mutex> lock(calls->mutex);
+            calls->priced.push_back(seed);
+        }
+        return run(seed);
+    };
+    return variant;
+}
+
+TEST(TunerTest, CalibrationPricesOnceAndScoresEveryInputFast)
+{
+    // "varying" costs 250 cycles on seed 1 and 2000 on every other seed.
+    // Priced on seed 1 alone it is 4x exact and wins; a mean over all
+    // three seeds would rank it below "steady" (0.7x against 2x).
+    Variant varying{"varying", 2, [](std::uint64_t seed) {
+                        VariantRun run;
+                        run.output = {static_cast<float>(seed % 100) + 0.1f,
+                                      10.1f};
+                        run.modeled_cycles = seed == 1 ? 250.0 : 2000.0;
+                        return run;
+                    }};
+    auto calls = std::make_shared<ClosureCalls>();
+    std::vector<Variant> variants;
+    variants.push_back(counted(fake_variant("exact", 0, 0.0f, 1000.0),
+                               calls));
+    variants.push_back(counted(fake_variant("steady", 1, 0.1f, 500.0),
+                               calls));
+    variants.push_back(counted(std::move(varying), calls));
+    Tuner tuner(std::move(variants), Metric::MeanRelativeError, 90.0);
+    tuner.calibrate({1, 2, 3});
+
+    EXPECT_EQ(calls->priced, std::vector<std::uint64_t>(3, 1));
+    EXPECT_EQ(calls->fast.size(), 9u);
+    for (const std::uint64_t seed : {1, 2, 3})
+        EXPECT_EQ(std::count(calls->fast.begin(), calls->fast.end(), seed),
+                  3);
+    EXPECT_DOUBLE_EQ(tuner.profiles()[1].speedup, 2.0);
+    EXPECT_DOUBLE_EQ(tuner.profiles()[2].speedup, 4.0);
+    EXPECT_EQ(tuner.selected_label(), "varying");
+}
+
+/// @p variant whose priced output is its Fast output passed through
+/// @p perturb.
+Variant
+priced_perturbed(Variant variant, float (*perturb)(float))
+{
+    variant.run_fast = variant.run;
+    variant.run = [run = variant.run, perturb](std::uint64_t seed) {
+        VariantRun priced = run(seed);
+        for (float& value : priced.output)
+            value = perturb(value);
+        return priced;
+    };
+    return variant;
+}
+
+float
+next_float(float value)
+{
+    return std::nextafter(value, 1e30f);
+}
+
+float
+doubled(float value)
+{
+    return 2.0f * value;
+}
+
+TEST(TunerTest, PricedOutputBeyondTheToqOfTheFastOneMarksTheVariantTrapped)
+{
+    // "split" scores 100% on its Fast outputs: only the cross-check
+    // against its priced output keeps it out of service.
+    std::vector<Variant> variants;
+    variants.push_back(fake_variant("exact", 0, 0.0f, 1000.0));
+    variants.push_back(
+        priced_perturbed(fake_variant("split", 2, 0.0f, 100.0), doubled));
+    variants.push_back(fake_variant("good", 1, 0.1f, 500.0));
+    Tuner tuner(std::move(variants), Metric::MeanRelativeError, 90.0);
+    tuner.calibrate({1, 2});
+    EXPECT_TRUE(tuner.profiles()[1].trapped);
+    EXPECT_FALSE(tuner.profiles()[1].meets_toq);
+    EXPECT_EQ(tuner.selected_label(), "good");
+}
+
+TEST(TunerTest, ExactPricedOutputBeyondTheToqOfTheFastOneFailsCalibration)
+{
+    std::vector<Variant> variants;
+    variants.push_back(
+        priced_perturbed(fake_variant("exact", 0, 0.0f, 1000.0), doubled));
+    variants.push_back(fake_variant("good", 1, 0.1f, 500.0));
+    Tuner tuner(std::move(variants), Metric::MeanRelativeError, 90.0);
+    EXPECT_THROW(tuner.calibrate({1, 2}), UserError);
+    EXPECT_THROW(tuner.serve_batch({1}), UserError);  // Still uncalibrated.
+}
+
+TEST(TunerTest, LastBitDifferencesBetweenPricedAndFastOutputsAreTolerated)
+{
+    // A float atomic reduction gives different last bits from launch to
+    // launch; neither the exact kernel nor a variant may fail for it.
+    std::vector<Variant> variants;
+    variants.push_back(
+        priced_perturbed(fake_variant("exact", 0, 0.0f, 1000.0), next_float));
+    variants.push_back(
+        priced_perturbed(fake_variant("split", 2, 0.0f, 100.0), next_float));
+    variants.push_back(fake_variant("good", 1, 0.1f, 500.0));
+    Tuner tuner(std::move(variants), Metric::MeanRelativeError, 90.0);
+    tuner.calibrate({1, 2});
+    EXPECT_FALSE(tuner.profiles()[1].trapped);
+    EXPECT_TRUE(tuner.profiles()[1].meets_toq);
+    EXPECT_EQ(tuner.selected_label(), "split");
 }
 
 TEST(TunerTest, SequentialBatchMembersRunUnderTheirOwnCancelToken)

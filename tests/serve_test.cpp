@@ -9,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
@@ -23,6 +22,7 @@
 #include "serve/service.h"
 #include "serve/watchdog.h"
 #include "support/error.h"
+#include "temp_dir.h"
 
 namespace paraprox::serve {
 namespace {
@@ -482,9 +482,16 @@ TEST(ApproxServiceTest, SubmitDuringRegisterResolvesEveryTicket)
     std::atomic<bool> registered{false};
     std::atomic<int> unknown_rejects{0};
     std::atomic<int> served{0};
+    // Registration waits for the submitter's first "unknown kernel"
+    // reject, and the submitter runs until it has been served, so no
+    // scheduling skips a phase; the deadline only bounds a broken
+    // service.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
 
     std::thread submitter([&] {
-        for (std::uint64_t seed = 0; seed < 100000; ++seed) {
+        for (std::uint64_t seed = 0;
+             std::chrono::steady_clock::now() < give_up; ++seed) {
             Ticket ticket = service.submit("race", seed);
             if (ticket.accepted) {
                 const Response response = ticket.response.get();
@@ -506,7 +513,10 @@ TEST(ApproxServiceTest, SubmitDuringRegisterResolvesEveryTicket)
         }
     });
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // Register only once the submitter has seen the kernel missing.
+    while (unknown_rejects.load() == 0 &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::yield();
     std::vector<Variant> variants;
     variants.push_back(fake_variant("exact", 0, 0.0f, 1000.0));
     variants.push_back(fake_variant("good", 1, 0.1f, 100.0));
@@ -849,11 +859,8 @@ TEST(ApproxServiceTest, FailedShadowAuditServesTheExactOutput)
 
 TEST(ApproxServiceTest, WarmRegistrationRestoresCalibration)
 {
-    namespace fs = std::filesystem;
-    const auto dir =
-        fs::temp_directory_path() / "paraprox-serve-warm-registration";
-    fs::remove_all(dir);
-    const auto store = store::ArtifactStore::configure_global(dir);
+    const tests::TempDir dir("serve-warm-registration");
+    const auto store = store::ArtifactStore::configure_global(dir.path);
 
     store::StoreKey key;
     key.kernel = "k";
@@ -888,7 +895,6 @@ TEST(ApproxServiceTest, WarmRegistrationRestoresCalibration)
     warm.stop();
 
     store::ArtifactStore::disable_global();
-    fs::remove_all(dir);
 }
 
 TEST(ApproxServiceTest, DoubleStopAndSubmitAfterStopAreSafe)

@@ -173,6 +173,64 @@ TEST(SessionTest, ParallelCalibrationSelectsSameVariantAsSerial)
     }
 }
 
+// A float atomic reduction spread over 64 groups.  The groups run as pool
+// tasks, and Fast mode steps a group's work-items in lockstep where
+// Instrumented mode runs them one at a time, so the order of the
+// additions, and with it the last bits of the sum, changes between
+// launches and between modes.
+const char* kAtomicSource = R"(
+__kernel void total(__global float* in, __global float* sum, int n) {
+    int t = get_global_id(0);
+    for (int i = 0; i < n; i++) {
+        atomic_add(sum, 0, in[t * n + i]);
+    }
+}
+)";
+
+constexpr int kAtomicItems = 64 * 16;
+constexpr int kAtomicPerItem = 4;
+
+TEST(SessionTest, FloatAtomicReductionCalibratesTheSameEveryTime)
+{
+    auto module = parser::parse_module(kAtomicSource);
+    KernelSession session(module, "total", test_options());
+    ASSERT_GE(session.members().size(), 2u);
+
+    core::LaunchPlan plan;
+    plan.config = exec::LaunchConfig::linear(kAtomicItems, 16);
+    plan.output_buffer = "sum";
+    plan.bind_inputs =
+        [](std::uint64_t seed, exec::ArgPack& args,
+           std::vector<std::unique_ptr<exec::Buffer>>& storage) {
+            Rng rng(seed);
+            storage.push_back(
+                std::make_unique<exec::Buffer>(exec::Buffer::from_floats(
+                    rng.uniform_vector(kAtomicItems * kAtomicPerItem, 0.0f,
+                                       1.0f))));
+            args.buffer("in", *storage.back());
+            storage.push_back(
+                std::make_unique<exec::Buffer>(exec::Buffer::zeros_f32(1)));
+            args.buffer("sum", *storage.back());
+            args.scalar("n", kAtomicPerItem);
+        };
+
+    // Calibration prices each variant in one launch and scores it in
+    // others; outputs that differ only by summation order must neither
+    // fail the exact kernel nor trap an approximate variant.
+    std::string selected;
+    for (int round = 0; round < 8; ++round) {
+        auto tuner = session.tuner(plan, Metric::MeanRelativeError);
+        const auto& profiles =
+            tuner.calibrate({1, 2, 3}, /*parallel=*/round % 2 == 0);
+        for (const VariantProfile& profile : profiles)
+            EXPECT_FALSE(profile.trapped) << profile.label;
+        if (round == 0)
+            selected = tuner.selected_label();
+        EXPECT_EQ(tuner.selected_label(), selected) << "round " << round;
+    }
+    EXPECT_NE(selected, "exact");
+}
+
 TEST(SessionTest, MembersExposeFamilyMetadata)
 {
     auto module = parser::parse_module(kSource);

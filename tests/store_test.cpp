@@ -23,20 +23,12 @@
 #include "store/format.h"
 #include "support/rng.h"
 #include "vm/program_cache.h"
+#include "temp_dir.h"
 
 namespace paraprox::store {
 namespace {
 
-// Each TEST runs as its own ctest process (gtest_discover_tests), but
-// tests can still run concurrently — give every test its own directory.
-std::filesystem::path
-fresh_dir(const std::string& name)
-{
-    const auto dir = std::filesystem::temp_directory_path() /
-                     ("paraprox-store-test-" + name);
-    std::filesystem::remove_all(dir);
-    return dir;
-}
+using tests::TempDir;
 
 StoreKey
 test_key(const std::string& detail)
@@ -266,7 +258,8 @@ expect_rejected(const ArtifactStore& store, const StoreKey& key,
 
 TEST(StoreTest, ProgramRoundTrip)
 {
-    const ArtifactStore store(fresh_dir("program-roundtrip"));
+    const TempDir dir("store-program-roundtrip");
+    const ArtifactStore store(dir.path);
     const StoreKey key = program_key(42, "apply");
     const vm::Program original = sample_program();
     ASSERT_TRUE(store.save_program(key, original));
@@ -280,7 +273,8 @@ TEST(StoreTest, ProgramRoundTrip)
 
 TEST(StoreTest, TableRoundTrip)
 {
-    const ArtifactStore store(fresh_dir("table-roundtrip"));
+    const TempDir dir("store-table-roundtrip");
+    const ArtifactStore store(dir.path);
     const StoreKey key = test_key("memo:f#0");
     const memo::LookupTable original = sample_table();
     ASSERT_TRUE(store.save_table(key, original));
@@ -306,7 +300,8 @@ TEST(StoreTest, TableRoundTrip)
 
 TEST(StoreTest, CalibrationRoundTrip)
 {
-    const ArtifactStore store(fresh_dir("calibration-roundtrip"));
+    const TempDir dir("store-calibration-roundtrip");
+    const ArtifactStore store(dir.path);
     StoreKey key = test_key("calibration");
     key.metric = "Mean relative error";
     const CalibrationRecord original = sample_record();
@@ -347,7 +342,8 @@ TEST(StoreTest, CalibrationRoundTrip)
 
 TEST(StoreTest, PrecisionCalibrationRoundTrip)
 {
-    const ArtifactStore store(fresh_dir("precision-roundtrip"));
+    const TempDir dir("store-precision-roundtrip");
+    const ArtifactStore store(dir.path);
     StoreKey key = test_key("data-tier");
     key.metric = "Mean relative error";
     const CalibrationRecord original = sample_precision_calibration();
@@ -383,7 +379,8 @@ TEST(StoreTest, PrecisionCalibrationRoundTrip)
 
 TEST(StoreTest, MissingFileIsMiss)
 {
-    const ArtifactStore store(fresh_dir("missing"));
+    const TempDir dir("store-missing");
+    const ArtifactStore store(dir.path);
     EXPECT_FALSE(store.load_table(test_key("memo:f#0")).has_value());
     EXPECT_EQ(store.stats().misses, 1u);
     EXPECT_EQ(store.stats().corrupt_rejects, 0u);
@@ -391,7 +388,8 @@ TEST(StoreTest, MissingFileIsMiss)
 
 TEST(StoreTest, TruncatedFileIsMiss)
 {
-    const ArtifactStore store(fresh_dir("truncated"));
+    const TempDir dir("store-truncated");
+    const ArtifactStore store(dir.path);
     const StoreKey key = test_key("memo:f#0");
     ASSERT_TRUE(store.save_table(key, sample_table()));
     const auto path = store.path_for(key, ArtifactKind::Table);
@@ -411,7 +409,8 @@ TEST(StoreTest, TruncatedFileIsMiss)
 
 TEST(StoreTest, BitFlippedFileIsMiss)
 {
-    const ArtifactStore store(fresh_dir("bitflip"));
+    const TempDir dir("store-bitflip");
+    const ArtifactStore store(dir.path);
     const StoreKey key = test_key("memo:f#0");
     ASSERT_TRUE(store.save_table(key, sample_table()));
     const auto path = store.path_for(key, ArtifactKind::Table);
@@ -435,7 +434,8 @@ TEST(StoreTest, BitFlippedFileIsMiss)
 
 TEST(StoreTest, VersionBumpIsMiss)
 {
-    const ArtifactStore store(fresh_dir("version-bump"));
+    const TempDir dir("store-version-bump");
+    const ArtifactStore store(dir.path);
     const StoreKey key = test_key("memo:f#0");
     ASSERT_TRUE(store.save_table(key, sample_table()));
     const auto path = store.path_for(key, ArtifactKind::Table);
@@ -455,7 +455,8 @@ TEST(StoreTest, KindConfusionIsMiss)
 {
     // A valid *calibration* record copied over a table's path must not
     // decode as a table.
-    const ArtifactStore store(fresh_dir("kind-confusion"));
+    const TempDir dir("store-kind-confusion");
+    const ArtifactStore store(dir.path);
     StoreKey calib_key = test_key("calibration");
     calib_key.metric = "L1";
     ASSERT_TRUE(store.save_calibration(calib_key, sample_record()));
@@ -472,7 +473,8 @@ TEST(StoreTest, KeyEchoMismatchIsMiss)
     // A record filed under the wrong name (filename-hash collision or a
     // hand-renamed file) carries the wrong canonical key in its payload
     // and must read as a miss under the other key.
-    const ArtifactStore store(fresh_dir("key-echo"));
+    const TempDir dir("store-key-echo");
+    const ArtifactStore store(dir.path);
     const StoreKey key_a = test_key("memo:f#0");
     StoreKey key_b = test_key("memo:g#0");
     ASSERT_TRUE(store.save_table(key_a, sample_table()));
@@ -487,7 +489,8 @@ TEST(StoreTest, KeyEchoMismatchIsMiss)
 
 TEST(StoreTest, GarbageFilesNeverCrash)
 {
-    const ArtifactStore store(fresh_dir("garbage"));
+    const TempDir dir("store-garbage");
+    const ArtifactStore store(dir.path);
     const StoreKey key = test_key("memo:f#0");
     const auto path = store.path_for(key, ArtifactKind::Table);
 
@@ -508,7 +511,8 @@ TEST(StoreTest, GarbageFilesNeverCrash)
 
 TEST(StoreTest, CorruptKernelCalibrationIsMissNeverCrash)
 {
-    const ArtifactStore store(fresh_dir("kernel-corrupt"));
+    const TempDir dir("store-kernel-corrupt");
+    const ArtifactStore store(dir.path);
     StoreKey key = test_key("calibration");
     key.metric = "L2";
     expect_corruption_is_miss(store, key, sample_record());
@@ -516,7 +520,8 @@ TEST(StoreTest, CorruptKernelCalibrationIsMissNeverCrash)
 
 TEST(StoreTest, CorruptPipelineCalibrationIsMissNeverCrash)
 {
-    const ArtifactStore store(fresh_dir("pipeline-corrupt"));
+    const TempDir dir("store-pipeline-corrupt");
+    const ArtifactStore store(dir.path);
     StoreKey key = test_key("pipeline:blur>sobel");
     key.metric = "L1";
     expect_corruption_is_miss(store, key, sample_pipeline_calibration());
@@ -541,7 +546,8 @@ TEST(StoreTest, CorruptPrecisionCalibrationIsMissNeverCrash)
 {
     // The full corruption matrix against a record with a plans section,
     // plus every semantically hostile plan the decoder must refuse.
-    const ArtifactStore store(fresh_dir("precision-corrupt"));
+    const TempDir dir("store-precision-corrupt");
+    const ArtifactStore store(dir.path);
     StoreKey key = test_key("data-tier");
     key.metric = "L2";
     expect_corruption_is_miss(store, key, sample_precision_calibration());
@@ -576,7 +582,8 @@ TEST(StoreTest, CalibrationWithBothSectionsIsMiss)
 {
     // A record describes one family: pipeline configs and precision plans
     // together cannot both rebuild it, so the decoder refuses the pair.
-    const ArtifactStore store(fresh_dir("both-sections"));
+    const TempDir dir("store-both-sections");
+    const ArtifactStore store(dir.path);
     StoreKey key = test_key("calibration");
     key.metric = "L1";
     CalibrationRecord both = sample_pipeline_calibration();
@@ -587,7 +594,8 @@ TEST(StoreTest, CalibrationWithBothSectionsIsMiss)
 
 TEST(StoreTest, ListAndPruneSeparateValidFromInvalid)
 {
-    const auto dir = fresh_dir("list-prune");
+    const TempDir temp("store-list-prune");
+    const std::filesystem::path& dir = temp.path;
     const ArtifactStore store(dir);
     ASSERT_TRUE(store.save_table(test_key("memo:f#0"), sample_table()));
     std::ofstream(dir / "junk.ppx") << "not a record";
@@ -672,8 +680,8 @@ session_warm_tuner(const runtime::KernelSession& session,
 
 TEST(StoreWarmStartTest, WarmSessionSkipsSearchAndMatchesColdSelection)
 {
-    const auto store =
-        ArtifactStore::configure_global(fresh_dir("warm-start"));
+    const TempDir dir("store-warm-start");
+    const auto store = ArtifactStore::configure_global(dir.path);
     vm::ProgramCache::global().clear();
     const std::vector<std::uint64_t> seeds = {1, 2, 3};
 
@@ -727,8 +735,8 @@ TEST(StoreWarmStartTest, WarmSessionSkipsSearchAndMatchesColdSelection)
 
 TEST(StoreWarmStartTest, StaleCalibrationIsRejectedNotInstalled)
 {
-    const auto store =
-        ArtifactStore::configure_global(fresh_dir("stale-calibration"));
+    const TempDir dir("store-stale-calibration");
+    const auto store = ArtifactStore::configure_global(dir.path);
     vm::ProgramCache::global().clear();
 
     auto module = parser::parse_module(kSource);
@@ -858,8 +866,8 @@ TEST(StoreWarmStartTest, HostileCalibrationNeverServesFromALiveService)
     // fall back to cold calibration — and every request served from that
     // service must come from the cold selection, never from whatever the
     // hostile record pointed at.
-    const auto store =
-        ArtifactStore::configure_global(fresh_dir("hostile-live-serve"));
+    const TempDir dir("store-hostile-live-serve");
+    const auto store = ArtifactStore::configure_global(dir.path);
 
     StoreKey key;
     key.kernel = "k";
