@@ -14,7 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,13 +97,13 @@ run_warm_phase(double scale, const std::vector<std::uint64_t>& seeds)
     WarmPhaseResult result;
 
     // Honour an ambient store (CI sets PARAPROX_STORE_DIR so a second
-    // *process* starts warm); otherwise use a fresh temp dir.
+    // *process* starts warm); otherwise use a fresh temp dir of this
+    // process's own, removed on return.
+    std::optional<ScratchStoreDir> scratch;
     std::shared_ptr<store::ArtifactStore> local_store;
     if (std::getenv("PARAPROX_STORE_DIR") == nullptr) {
-        const auto dir = std::filesystem::temp_directory_path() /
-                         "paraprox-bench-data-tier-store";
-        std::filesystem::remove_all(dir);
-        local_store = store::ArtifactStore::configure_global(dir);
+        scratch.emplace("data-tier");
+        local_store = store::ArtifactStore::configure_global(scratch->path());
     }
 
     const auto device = device::DeviceModel::gtx560();

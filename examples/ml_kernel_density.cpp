@@ -44,7 +44,7 @@ main()
         auto program = std::make_shared<vm::Program>(
             vm::compile_kernel(module, "bad"));
         variants.push_back(
-            {"broken (out-of-bounds)", 9, [program](std::uint64_t) {
+            {"broken (out-of-bounds)", 9, [program](const runtime::Input&) {
                  exec::Buffer out = exec::Buffer::zeros_f32(64);
                  exec::ArgPack args;
                  args.buffer("out", out);

@@ -194,13 +194,13 @@ class CumulativeHistogramApp final : public Application {
             variant.label = std::move(label);
             variant.aggressiveness = aggressiveness;
             variant.run = [run_pipeline, skipped,
-                           tail](std::uint64_t seed) {
-                return run_pipeline(seed, skipped, tail,
+                           tail](const runtime::Input& input) {
+                return run_pipeline(input.seed(), skipped, tail,
                                     vm::ExecMode::Instrumented);
             };
             variant.run_fast = [run_pipeline, skipped,
-                                tail](std::uint64_t seed) {
-                return run_pipeline(seed, skipped, tail,
+                                tail](const runtime::Input& input) {
+                return run_pipeline(input.seed(), skipped, tail,
                                     vm::ExecMode::Fast);
             };
             variants.push_back(std::move(variant));

@@ -362,11 +362,13 @@ class ConvolutionApp final : public Application {
             runtime::Variant variant;
             variant.label = (*pipelines)[p].label;
             variant.aggressiveness = (*pipelines)[p].aggressiveness;
-            variant.run = [run_pipeline, p](std::uint64_t seed) {
-                return run_pipeline(p, seed, vm::ExecMode::Instrumented);
+            variant.run = [run_pipeline, p](const runtime::Input& input) {
+                return run_pipeline(p, input.seed(),
+                                    vm::ExecMode::Instrumented);
             };
-            variant.run_fast = [run_pipeline, p](std::uint64_t seed) {
-                return run_pipeline(p, seed, vm::ExecMode::Fast);
+            variant.run_fast = [run_pipeline,
+                                p](const runtime::Input& input) {
+                return run_pipeline(p, input.seed(), vm::ExecMode::Fast);
             };
             variants.push_back(std::move(variant));
         }

@@ -29,24 +29,36 @@ namespace {
 struct VariantContext {
     device::DeviceModel device;
     LaunchPlan plan;
+    /// The plan's bind_inputs as the family every variant's Input build
+    /// is keyed by.
+    std::shared_ptr<const runtime::InputFamily> inputs;
+};
+
+/// One variant's program with what its launches need: the buffers it
+/// writes (copied per launch; the rest bind from the shared build) and
+/// its lookup tables.
+struct Member {
+    std::shared_ptr<const vm::Program> program;
+    std::vector<std::string> written;
+    std::vector<TableBinding> tables;
 };
 
 runtime::VariantRun
-run_one(const vm::Program& program,
-        const std::vector<TableBinding>& tables,
-        const VariantContext& context, std::uint64_t seed,
-        vm::ExecMode mode)
+run_one(const Member& member, const VariantContext& context,
+        const runtime::Input& input, vm::ExecMode mode)
 {
-    exec::ArgPack args;
+    const auto build = input.build(context.inputs);
     std::vector<std::unique_ptr<exec::Buffer>> storage;
-    context.plan.bind_inputs(seed, args, storage);
-    bind_tables(tables, args, storage);
+    exec::ArgPack args =
+        runtime::launch_args(build->front(), member.written, storage);
+    bind_tables(member.tables, args, storage);
 
     runtime::VariantRun run =
         mode == vm::ExecMode::Fast
-            ? runtime::run_fast_unpriced(program, args, context.plan.config)
-            : runtime::run_priced(program, args, context.plan.config,
-                                  context.device);
+            ? runtime::run_fast_unpriced(*member.program, args,
+                                         context.plan.config)
+            : runtime::run_priced(*member.program, args,
+                                  context.plan.config, context.device);
     const exec::Buffer* output =
         args.find_buffer(context.plan.output_buffer);
     PARAPROX_CHECK(output, "LaunchPlan output buffer `" +
@@ -57,9 +69,7 @@ run_one(const vm::Program& program,
 }
 
 std::vector<runtime::VariantRun>
-run_many(const vm::Program& program,
-         const std::vector<TableBinding>& tables,
-         const VariantContext& context,
+run_many(const Member& member, const VariantContext& context,
          const std::vector<std::uint64_t>& seeds)
 {
     // The per-request fixed costs a batch amortizes: the lookup tables
@@ -69,7 +79,7 @@ run_many(const vm::Program& program,
     // inputs are bound per member, on a copy of the shared base pack.
     exec::ArgPack base;
     std::vector<std::unique_ptr<exec::Buffer>> storage;
-    bind_tables(tables, base, storage);
+    bind_tables(member.tables, base, storage);
 
     std::vector<exec::ArgPack> packs;
     packs.reserve(seeds.size());
@@ -82,7 +92,8 @@ run_many(const vm::Program& program,
     }
 
     std::vector<runtime::VariantRun> runs =
-        runtime::run_batch_unpriced(program, members, context.plan.config);
+        runtime::run_batch_unpriced(*member.program, members,
+                                    context.plan.config);
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const exec::Buffer* output =
             packs[i].find_buffer(context.plan.output_buffer);
@@ -106,6 +117,8 @@ make_variants(const ir::Module& module, const std::string& kernel,
     auto context = std::make_shared<VariantContext>();
     context->device = device;
     context->plan = plan;
+    context->inputs = std::make_shared<const runtime::InputFamily>(
+        runtime::InputFamily{plan.bind_inputs});
 
     // All programs come from the process-wide cache, so rebuilding the
     // variant list (or a KernelSession over the same module) compiles
@@ -115,23 +128,23 @@ make_variants(const ir::Module& module, const std::string& kernel,
     // calibration needs) and `run_fast` serves in vm::ExecMode::Fast.
     auto make_variant = [&context](std::string label, int aggressiveness,
                                    std::shared_ptr<const vm::Program> program,
-                                   std::shared_ptr<std::vector<TableBinding>>
-                                       tables) {
+                                   std::vector<TableBinding> tables) {
+        auto member = std::make_shared<const Member>(
+            Member{program, runtime::written_buffers(*program),
+                   std::move(tables)});
         runtime::Variant variant;
         variant.label = std::move(label);
         variant.aggressiveness = aggressiveness;
-        variant.run = [program, tables, context](std::uint64_t seed) {
-            return run_one(*program, *tables, *context, seed,
+        variant.run = [member, context](const runtime::Input& input) {
+            return run_one(*member, *context, input,
                            vm::ExecMode::Instrumented);
         };
-        variant.run_fast = [program, tables, context](std::uint64_t seed) {
-            return run_one(*program, *tables, *context, seed,
-                           vm::ExecMode::Fast);
+        variant.run_fast = [member, context](const runtime::Input& input) {
+            return run_one(*member, *context, input, vm::ExecMode::Fast);
         };
         variant.run_batch =
-            [program, tables, context](
-                const std::vector<std::uint64_t>& seeds) {
-                return run_many(*program, *tables, *context, seeds);
+            [member, context](const std::vector<std::uint64_t>& seeds) {
+                return run_many(*member, *context, seeds);
             };
         return variant;
     };
@@ -139,16 +152,14 @@ make_variants(const ir::Module& module, const std::string& kernel,
     auto& cache = vm::ProgramCache::global();
     std::vector<runtime::Variant> variants;
     variants.push_back(
-        make_variant("exact", 0, cache.get_or_compile(module, kernel),
-                     std::make_shared<std::vector<TableBinding>>()));
+        make_variant("exact", 0, cache.get_or_compile(module, kernel), {}));
 
     for (const auto& kernel_variant : generated) {
         variants.push_back(make_variant(
             kernel_variant.label, kernel_variant.aggressiveness,
             cache.get_or_compile(kernel_variant.module,
                                  kernel_variant.kernel_name),
-            std::make_shared<std::vector<TableBinding>>(
-                kernel_variant.tables)));
+            kernel_variant.tables));
     }
     return variants;
 }

@@ -24,7 +24,9 @@ struct LaunchPlan {
 
     /// Create and bind every application argument (inputs, outputs,
     /// scalars) for the input identified by @p seed.  Buffers must be
-    /// appended to @p storage, which outlives the launch.
+    /// appended to @p storage, which outlives the launch.  The variant
+    /// closures call it once per runtime::Input and share the result
+    /// read-only: each launch copies the buffers its program writes.
     std::function<void(std::uint64_t seed, exec::ArgPack& args,
                        std::vector<std::unique_ptr<exec::Buffer>>& storage)>
         bind_inputs;

@@ -65,23 +65,28 @@ class SlotCountObserver : public exec::LaunchObserver {
 /// by shared_ptr capture so the variants outlive the session.
 struct TierContext {
     std::shared_ptr<const vm::Program> program;
+    /// What `program`, which every plan launches, writes.
+    std::vector<std::string> written;
     std::vector<core::TableBinding> tables;
     core::LaunchPlan plan;
     device::DeviceModel device;
+    /// The plan's bind_inputs as the family Input builds are keyed by.
+    std::shared_ptr<const InputFamily> inputs;
 };
 
 VariantRun
 run_plan(const TierContext& context, const data::PrecisionPlan& plan,
-         std::uint64_t seed, vm::ExecMode mode)
+         const Input& input, vm::ExecMode mode)
 {
-    exec::ArgPack args;
+    const auto build = input.build(context.inputs);
     std::vector<std::unique_ptr<exec::Buffer>> storage;
-    context.plan.bind_inputs(seed, args, storage);
+    exec::ArgPack args =
+        launch_args(build->front(), context.written, storage);
     core::bind_tables(context.tables, args, storage);
 
     // Repack the plan's buffers over the application's exact bindings.
     // The packed binding shadows the exact one at launch; the exact
-    // buffer keeps the authoritative input values for this seed.
+    // buffer keeps the authoritative input values for this input.
     std::vector<std::unique_ptr<data::PackedBuffer>> packed_storage;
     data::PackedBuffer* packed_output = nullptr;
     for (const auto& assignment : plan.assignments) {
@@ -131,12 +136,12 @@ make_tier_variants(std::shared_ptr<TierContext> context,
         Variant variant;
         variant.label = plan.all_exact() ? "exact" : plan.label;
         variant.aggressiveness = plan.aggressiveness();
-        variant.run = [context, plan](std::uint64_t seed) {
-            return run_plan(*context, plan, seed,
+        variant.run = [context, plan](const Input& input) {
+            return run_plan(*context, plan, input,
                             vm::ExecMode::Instrumented);
         };
-        variant.run_fast = [context, plan](std::uint64_t seed) {
-            return run_plan(*context, plan, seed, vm::ExecMode::Fast);
+        variant.run_fast = [context, plan](const Input& input) {
+            return run_plan(*context, plan, input, vm::ExecMode::Fast);
         };
         variants.push_back(std::move(variant));
     }
@@ -149,9 +154,12 @@ make_context(const KernelSession& session, const core::LaunchPlan& plan)
     auto context = std::make_shared<TierContext>();
     const SessionMember& exact = session.members().front();
     context->program = exact.program;
+    context->written = written_buffers(*exact.program);
     context->tables = exact.tables;
     context->plan = plan;
     context->device = session.options().device;
+    context->inputs =
+        std::make_shared<const InputFamily>(InputFamily{plan.bind_inputs});
     return context;
 }
 

@@ -75,6 +75,7 @@ struct PipelineRuntime {
         int aggressiveness = 0;
         std::shared_ptr<const vm::Program> program;
         std::vector<core::TableBinding> tables;
+        std::vector<std::string> written;  ///< What `program` writes.
     };
     struct Stage {
         std::string name;
@@ -90,8 +91,10 @@ struct PipelineRuntime {
 
     std::vector<Stage> stages;
     std::shared_ptr<PipelineStats> stats;
+    /// Every stage's bind_inputs, the family Input builds are keyed by.
+    std::shared_ptr<const InputFamily> inputs;
 
-    VariantRun run(const std::vector<int>& members, std::uint64_t seed,
+    VariantRun run(const std::vector<int>& members, const Input& input,
                    vm::ExecMode mode,
                    std::vector<std::vector<float>>* stage_outputs) const
     {
@@ -103,6 +106,7 @@ struct PipelineRuntime {
         }
 
         VariantRun total;
+        const auto build = input.build(inputs);
         std::vector<std::unique_ptr<exec::Buffer>> storage;
         exec::Buffer* upstream = nullptr;
         for (std::size_t s = 0; s < stages.size(); ++s) {
@@ -115,8 +119,8 @@ struct PipelineRuntime {
             const Member& member = stage.members[
                 static_cast<std::size_t>(members[s])];
 
-            exec::ArgPack args;
-            stage.bind_inputs(seed, args, storage);
+            exec::ArgPack args =
+                launch_args((*build)[s], member.written, storage);
             if (!stage.input_param.empty()) {
                 PARAPROX_CHECK(upstream, "stage `" + stage.name +
                                              "` has no upstream output");
@@ -196,6 +200,7 @@ PipelineSession::PipelineSession(Pipeline pipeline)
     }
     stats_ = std::make_shared<PipelineStats>(names);
     runtime_->stats = stats_;
+    auto inputs = std::make_shared<InputFamily>();
 
     for (std::size_t s = 0; s < pipeline_.stages.size(); ++s) {
         const PipelineStage& stage = pipeline_.stages[s];
@@ -207,12 +212,14 @@ PipelineSession::PipelineSession(Pipeline pipeline)
         exec_stage.bind_inputs = stage.bind_inputs;
         exec_stage.device = stage.options.device;
         for (const SessionMember& member : sessions_[s]->members()) {
-            exec_stage.members.push_back({member.label,
-                                          member.aggressiveness,
-                                          member.program, member.tables});
+            exec_stage.members.push_back(
+                {member.label, member.aggressiveness, member.program,
+                 member.tables, written_buffers(*member.program)});
         }
+        inputs->push_back(stage.bind_inputs);
         runtime_->stages.push_back(std::move(exec_stage));
     }
+    runtime_->inputs = std::move(inputs);
 }
 
 std::vector<std::string>
@@ -230,10 +237,10 @@ PipelineSession::stage_session(std::size_t stage) const
 
 VariantRun
 PipelineSession::run_config(
-    const std::vector<int>& members, std::uint64_t seed, vm::ExecMode mode,
+    const std::vector<int>& members, const Input& input, vm::ExecMode mode,
     std::vector<std::vector<float>>* stage_outputs) const
 {
-    return runtime_->run(members, seed, mode, stage_outputs);
+    return runtime_->run(members, input, mode, stage_outputs);
 }
 
 std::vector<JointConfig>
@@ -446,12 +453,12 @@ PipelineSession::variants_from(const std::vector<JointConfig>& configs) const
         variant.aggressiveness = config.aggressiveness;
         const auto runtime = runtime_;
         const std::vector<int> members = config.members;
-        variant.run = [runtime, members](std::uint64_t seed) {
-            return runtime->run(members, seed, vm::ExecMode::Instrumented,
+        variant.run = [runtime, members](const Input& input) {
+            return runtime->run(members, input, vm::ExecMode::Instrumented,
                                 nullptr);
         };
-        variant.run_fast = [runtime, members](std::uint64_t seed) {
-            return runtime->run(members, seed, vm::ExecMode::Fast,
+        variant.run_fast = [runtime, members](const Input& input) {
+            return runtime->run(members, input, vm::ExecMode::Fast,
                                 nullptr);
         };
         variants.push_back(std::move(variant));

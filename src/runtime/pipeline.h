@@ -58,7 +58,8 @@ struct PipelineStage {
     /// last stage's output is the pipeline output the TOQ is judged on.
     std::string output_buffer;
     /// Create and bind the stage's own arguments (including its output
-    /// buffer) for the input identified by @p seed.
+    /// buffer) for the input identified by @p seed.  Called once per
+    /// runtime::Input, like core::LaunchPlan::bind_inputs.
     std::function<void(std::uint64_t seed, exec::ArgPack& args,
                        std::vector<std::unique_ptr<exec::Buffer>>& storage)>
         bind_inputs;
@@ -155,16 +156,17 @@ class PipelineSession {
     /// Shared per-stage trap counters; outlives the session.
     std::shared_ptr<PipelineStats> stats() const { return stats_; }
 
-    /// Execute one joint configuration end-to-end on @p seed: each stage
-    /// binds its own inputs, receives the previous stage's output under
-    /// its input_param, and runs its chosen member.  Costs are summed
+    /// Execute one joint configuration end-to-end on @p input: each stage
+    /// binds its own inputs (from the input's shared build, which holds
+    /// every stage's), receives the previous stage's output under its
+    /// input_param, and runs its chosen member.  Costs are summed
     /// across stages; the returned output is the final stage's.  A trap
     /// anywhere aborts the chain (attributed to that stage in stats()).
     /// When @p stage_outputs is non-null it receives every stage's
     /// output values — iterative drivers use this to carry state between
     /// pipeline invocations.
     VariantRun run_config(
-        const std::vector<int>& members, std::uint64_t seed,
+        const std::vector<int>& members, const Input& input,
         vm::ExecMode mode = vm::ExecMode::Instrumented,
         std::vector<std::vector<float>>* stage_outputs = nullptr) const;
 

@@ -1,9 +1,11 @@
 #include "runtime/tuner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "exec/launch.h"
 #include "support/error.h"
@@ -49,25 +51,43 @@ Tuner::calibrate(const std::vector<std::uint64_t>& training_seeds,
                    "calibration needs at least one training input");
 
     // Job v < V prices variant v once, instrumented, on the first
-    // training input; job V + v * S + s runs variant v on seed s in Fast
+    // training input; job V + s * V + v runs variant v on seed s in Fast
     // mode.  The priced jobs cost ~10x a Fast one and go first, so the
-    // dynamic scheduler does not end on one.  Results are aggregated
-    // serially in a fixed order, so a parallel sweep selects what a
-    // serial one does; wall times are advisory under concurrency.  The
-    // sweep runs outside the tuner lock so concurrent serve_batch()
+    // dynamic scheduler does not end on one.  Every job on seed s shares
+    // inputs[s], so each training input is built once; the Fast jobs go
+    // seed by seed, and the job that ends a seed's last run drops its
+    // Input, so only the inputs in flight stay built.  Results are
+    // aggregated serially in a fixed order, so a parallel sweep selects
+    // what a serial one does; wall times are advisory under concurrency.
+    // The sweep runs outside the tuner lock so concurrent serve_batch()
     // callers keep serving the previous selection during a
     // recalibration.
     const std::size_t num_variants = variants_.size();
     const std::size_t num_seeds = training_seeds.size();
+    std::vector<std::optional<Input>> inputs(num_seeds);
+    std::vector<std::atomic<std::size_t>> remaining(num_seeds);
+    for (std::size_t s = 0; s < num_seeds; ++s) {
+        inputs[s].emplace(training_seeds[s]);
+        remaining[s].store(s == 0 ? 2 * num_variants : num_variants,
+                           std::memory_order_relaxed);
+    }
+    auto finish = [&](std::size_t s) {
+        if (remaining[s].fetch_sub(1, std::memory_order_acq_rel) == 1)
+            inputs[s].reset();
+    };
     std::vector<VariantRun> priced(num_variants);
     std::vector<VariantRun> fast(num_variants * num_seeds);
     auto run_one = [&](std::size_t job) {
         if (job < num_variants) {
-            priced[job] = variants_[job].run(training_seeds[0]);
+            priced[job] = variants_[job].run(*inputs[0]);
+            finish(0);
         } else {
             job -= num_variants;
-            fast[job] = execute(static_cast<int>(job / num_seeds),
-                                training_seeds[job % num_seeds]);
+            const std::size_t s = job / num_variants;
+            const std::size_t v = job % num_variants;
+            fast[v * num_seeds + s] =
+                execute(static_cast<int>(v), *inputs[s]);
+            finish(s);
         }
     };
     const std::size_t jobs = num_variants * (1 + num_seeds);
@@ -216,38 +236,40 @@ Tuner::recalibrate(const std::vector<std::uint64_t>& training_seeds,
 }
 
 VariantRun
-Tuner::execute(int index, std::uint64_t input_seed) const
+Tuner::execute(int index, const Input& input) const
 {
     const Variant& variant = variants_[index];
-    return variant.run_fast ? variant.run_fast(input_seed)
-                            : variant.run(input_seed);
+    return variant.run_fast ? variant.run_fast(input) : variant.run(input);
 }
 
 std::vector<ServedRun>
-Tuner::run_with_fallback(int index,
-                         const std::vector<std::uint64_t>& input_seeds)
+Tuner::run_with_fallback(int index, const std::vector<Input>& inputs)
 {
     const Variant& variant = variants_[index];
     std::vector<VariantRun> runs;
-    if (input_seeds.size() > 1 && variant.run_batch) {
-        runs = variant.run_batch(input_seeds);
-        PARAPROX_CHECK(runs.size() == input_seeds.size(),
+    if (inputs.size() > 1 && variant.run_batch) {
+        std::vector<std::uint64_t> seeds;
+        seeds.reserve(inputs.size());
+        for (const Input& input : inputs)
+            seeds.push_back(input.seed());
+        runs = variant.run_batch(seeds);
+        PARAPROX_CHECK(runs.size() == inputs.size(),
                        "run_batch returned a short batch");
     } else {
-        // One launch per seed: hand each its own member's token from the
-        // caller's batch scope, which is sized for a coalesced launch and
-        // would otherwise leave every member of a sequential batch
+        // One launch per input: hand each its own member's token from
+        // the caller's batch scope, which is sized for a coalesced launch
+        // and would otherwise leave every member of a sequential batch
         // uncancellable.
         const std::vector<const vm::CancelToken*>* tokens =
             exec::current_batch_cancel_tokens();
-        if (tokens && tokens->size() != input_seeds.size())
+        if (tokens && tokens->size() != inputs.size())
             tokens = nullptr;
-        runs.reserve(input_seeds.size());
-        for (std::size_t i = 0; i < input_seeds.size(); ++i) {
+        runs.reserve(inputs.size());
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
             const std::vector<const vm::CancelToken*> member = {
                 tokens ? (*tokens)[i] : nullptr};
             exec::BatchCancelScope scope(&member);
-            runs.push_back(execute(index, input_seeds[i]));
+            runs.push_back(execute(index, inputs[i]));
         }
     }
 
@@ -272,7 +294,7 @@ Tuner::run_with_fallback(int index,
             record_failure_locked(index);
     }
     for (const std::size_t i : trapped) {
-        served[i].run = execute(0, input_seeds[i]);
+        served[i].run = execute(0, inputs[i]);
         served[i].index = 0;
         served[i].label = variants_[0].label;
         served[i].trap_fallback = true;
@@ -281,7 +303,7 @@ Tuner::run_with_fallback(int index,
 }
 
 VariantRun
-Tuner::invoke(std::uint64_t input_seed)
+Tuner::invoke(const Input& input)
 {
     int index;
     std::uint64_t invocation;
@@ -299,7 +321,7 @@ Tuner::invoke(std::uint64_t input_seed)
         }
     }
 
-    ServedRun served = std::move(run_with_fallback(index, {input_seed})[0]);
+    ServedRun served = std::move(run_with_fallback(index, {input})[0]);
     // A cancelled run is the harness dropping the request and a trap
     // fallback already reported its failure: neither gets a quality
     // audit.
@@ -309,7 +331,11 @@ Tuner::invoke(std::uint64_t input_seed)
     const bool audit =
         audit_now || (index != 0 && invocation % check_interval_ == 0);
     if (audit) {
-        VariantRun exact = execute(0, input_seed);
+        // The exact run reuses the served run's input.  An exact run
+        // that traps has no output to judge by: the audit is void.
+        VariantRun exact = execute(0, input);
+        if (exact.trapped)
+            return std::move(served.run);
         const double quality =
             quality_percent(metric_, exact.output, served.run.output);
         std::lock_guard<std::mutex> lock(mutex_);
@@ -323,28 +349,28 @@ Tuner::invoke(std::uint64_t input_seed)
 }
 
 BatchServed
-Tuner::serve_batch(const std::vector<std::uint64_t>& input_seeds)
+Tuner::serve_batch(const std::vector<Input>& inputs)
 {
     BatchServed batch;
-    if (input_seeds.empty())
+    if (inputs.empty())
         return batch;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         PARAPROX_CHECK(calibrated_, "call calibrate() before serve_batch()");
-        stats_.invocations += input_seeds.size();
+        stats_.invocations += inputs.size();
         batch.index = resolve_serving_index_locked(&batch.degraded);
     }
     batch.label = variants_[batch.index].label;
-    batch.runs = run_with_fallback(batch.index, input_seeds);
+    batch.runs = run_with_fallback(batch.index, inputs);
     for (ServedRun& served : batch.runs)
         served.degraded = batch.degraded && !served.trap_fallback;
     return batch;
 }
 
 VariantRun
-Tuner::run_exact(std::uint64_t input_seed) const
+Tuner::run_exact(const Input& input) const
 {
-    return execute(0, input_seed);
+    return execute(0, input);
 }
 
 void
@@ -539,7 +565,7 @@ Tuner::probe_candidate()
 }
 
 VariantRun
-Tuner::run_probe(int index, std::uint64_t input_seed)
+Tuner::run_probe(int index, const Input& input)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -548,7 +574,7 @@ Tuner::run_probe(int index, std::uint64_t input_seed)
                        "run_probe: bad variant index");
         ++stats_.probes;
     }
-    return execute(index, input_seed);
+    return execute(index, input);
 }
 
 bool

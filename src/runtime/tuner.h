@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/input.h"
 #include "runtime/quality.h"
 #include "support/counters.h"
 
@@ -49,26 +50,34 @@ struct VariantRun {
 
 /// One launchable configuration (the exact kernel is also expressed as a
 /// variant; it must be first and is assumed safe).
+///
+/// `run` and `run_fast` take a runtime::Input: every run a tuner or a
+/// serving layer makes on one input (the served run, its trap or
+/// watchdog fallback, a shadow audit, a probe, one training input's
+/// calibration jobs) passes the same handle, so a family's closures
+/// build the input once and launch on copies of only the buffers each
+/// program writes.  A bare seed converts to a fresh Input.
 struct Variant {
     std::string label;
     /// Monotone knob-aggressiveness rank used for backoff ordering; the
     /// exact kernel is 0.
     int aggressiveness = 0;
-    /// Priced execution on the input identified by @p input_seed: the
-    /// instrumented interpreter under the device model, which fills
-    /// modeled_cycles.  Calibration prices each variant once this way.
-    std::function<VariantRun(std::uint64_t input_seed)> run;
+    /// Priced execution on @p input: the instrumented interpreter under
+    /// the device model, which fills modeled_cycles.  Calibration prices
+    /// each variant once this way.
+    std::function<VariantRun(const Input& input)> run;
     /// Optional lean closure: `run`'s outputs (up to float-atomic order),
     /// executed in vm::ExecMode::Fast with no device pricing (its
     /// modeled_cycles stays 0).  Serving and calibration's per-input
     /// quality runs use it; when empty, `run` stands in.
-    std::function<VariantRun(std::uint64_t input_seed)> run_fast;
+    std::function<VariantRun(const Input& input)> run_fast;
     /// Optional coalesced serving closure: execute every input in one
     /// launch over the concatenated index space (vm::ExecMode::Fast,
     /// unpriced), returning one run per seed in order — lookup tables are
     /// bound once for the whole batch and a trapped member poisons only
-    /// its own run.  Used by Tuner::serve_batch for two or more seeds;
-    /// when empty, batches fall back to per-seed execution.
+    /// its own run.  Used by Tuner::serve_batch for two or more inputs;
+    /// when empty, batches fall back to per-input execution.  Takes seeds
+    /// and builds each member's input itself.
     std::function<std::vector<VariantRun>(
         const std::vector<std::uint64_t>& input_seeds)>
         run_batch;
@@ -163,7 +172,7 @@ struct BatchServed {
     int index = 0;       ///< Selection the batch was launched with.
     std::string label;
     bool degraded = false;
-    std::vector<ServedRun> runs;  ///< One per input seed, in order.
+    std::vector<ServedRun> runs;  ///< One per input, in order.
 };
 
 /// Everything calibrate() decided, as plain data: what the artifact
@@ -197,6 +206,11 @@ class Tuner {
     /// and Fast outputs on training_seeds[0] differ beyond the TOQ is
     /// profiled as trapped; for the exact kernel, calibration fails.
     ///
+    /// Every job on one training seed shares one Input, so a sweep over V
+    /// variants and S seeds builds S inputs (for V priced launches and
+    /// V x S Fast ones).  Jobs run seed by seed and each Input is dropped
+    /// after its seed's last job, so only the inputs in flight are alive.
+    ///
     /// By default the sweep runs on the global ThreadPool; selection is
     /// unaffected because it is decided by deterministic modeled cycles,
     /// aggregated in a fixed order after all runs finish.  Wall-clock
@@ -218,29 +232,31 @@ class Tuner {
     recalibrate(const std::vector<std::uint64_t>& training_seeds,
                 bool parallel = true);
 
-    /// Execute the current selection on @p input_seed.  Periodically also
+    /// Execute the current selection on @p input.  Periodically also
     /// runs the exact kernel on the same input to audit quality; on a TOQ
-    /// violation, steps down to the next less aggressive variant.
-    /// Single-caller: concurrent serving goes through serve_batch().
-    VariantRun invoke(std::uint64_t input_seed);
+    /// violation, steps down to the next less aggressive variant.  An
+    /// audit whose exact run traps is void: nothing is counted or
+    /// charged.  Single-caller: concurrent serving goes through
+    /// serve_batch().
+    VariantRun invoke(const Input& input);
 
     /// Thread-safe serving path: resolve the selection (and the ladder)
-    /// once, then execute every seed against it without invoke()'s
+    /// once, then execute every input against it without invoke()'s
     /// periodic quality audit — a serving layer is expected to own
     /// auditing (see serve::QualityMonitor).  A batch of two or more
     /// runs through the variant's run_batch closure as one concatenated
-    /// launch when the closure exists; a batch of one runs per seed.
-    /// Counts seeds.size() invocations.  Each trapped member reports its
+    /// launch when the closure exists; a batch of one runs per input.
+    /// Counts inputs.size() invocations.  Each trapped member reports its
     /// failure to the breaker and is re-served exact, without disturbing
     /// its batch-mates, and its ServedRun names the variant that
     /// actually produced it.  The selection is held fixed across the
     /// batch; a breaker opened by a mid-batch trap moves the *next*
-    /// batch's selection.
-    BatchServed serve_batch(const std::vector<std::uint64_t>& input_seeds);
+    /// batch's selection.  A trap fallback reuses its member's Input.
+    BatchServed serve_batch(const std::vector<Input>& inputs);
 
-    /// Thread-safe: execute the exact kernel (variants[0]) on
-    /// @p input_seed, bypassing selection and all bookkeeping.
-    VariantRun run_exact(std::uint64_t input_seed) const;
+    /// Thread-safe: execute the exact kernel (variants[0]) on @p input,
+    /// bypassing selection and all bookkeeping.
+    VariantRun run_exact(const Input& input) const;
 
     /// Label of variants[0]: what a run_exact() re-serve reports as the
     /// variant that produced it (a pipeline's reads
@@ -272,7 +288,7 @@ class Tuner {
     /// stats().probes).  The caller judges health — typically
     /// !trapped && quality >= TOQ against an exact run of the same
     /// input — and reports it through record_probe().
-    VariantRun run_probe(int index, std::uint64_t input_seed);
+    VariantRun run_probe(int index, const Input& input);
 
     /// Report a half-open probe outcome.  `probe_quota` healthy probes
     /// close the breaker and re-run selection (the variant may be
@@ -368,19 +384,19 @@ class Tuner {
 
     /// Execute variant @p index on one input: `run_fast` when the variant
     /// has it, `run` otherwise.
-    VariantRun execute(int index, std::uint64_t input_seed) const;
+    VariantRun execute(int index, const Input& input) const;
 
     /// The one execute-and-fall-back step under invoke() and
-    /// serve_batch(): run variant @p index on every seed (one run_batch
-    /// launch for two or more seeds when the variant has the closure,
-    /// per seed otherwise — each seed's launches under its own token
-    /// from the caller's exec::BatchCancelScope), then re-serve each
-    /// trapped member exact and charge the trap to the variant's breaker.
-    /// Cancelled members come back as-is — the token's owner decides
-    /// what a cancelled run means, so there is no fallback and no
-    /// breaker charge.
+    /// serve_batch(): run variant @p index on every input (one run_batch
+    /// launch over their seeds for two or more inputs when the variant
+    /// has the closure, per input otherwise — each input's launches
+    /// under its own token from the caller's exec::BatchCancelScope),
+    /// then re-serve each trapped member exact on its own Input and
+    /// charge the trap to the variant's breaker.  Cancelled members come
+    /// back as-is — the token's owner decides what a cancelled run means,
+    /// so there is no fallback and no breaker charge.
     std::vector<ServedRun> run_with_fallback(
-        int index, const std::vector<std::uint64_t>& input_seeds);
+        int index, const std::vector<Input>& inputs);
 
     std::vector<Variant> variants_;  ///< Immutable after construction.
     Metric metric_;

@@ -151,11 +151,8 @@ ApproxService::submit(const std::string& kernel, std::uint64_t seed,
         }
     }
 
-    Job job;
-    job.kernel = state;
-    job.seed = seed;
-    job.deadline = options.deadline;
-    job.submitted_at = std::chrono::steady_clock::now();
+    Job job{state, runtime::Input(seed), options.deadline,
+            std::chrono::steady_clock::now(), {}};
     ticket.response = job.promise.get_future();
 
     // Count the admission before the push so a racing drain() cannot
@@ -349,14 +346,14 @@ ApproxService::serve_detour(KernelState& state, Job& job)
 
     Response response;
     try {
-        response.run = state.tuner->run_exact(job.seed);
+        response.run = state.tuner->run_exact(job.input);
         response.served_by = state.tuner->exact_label();
         if (exact_only) {
             metrics_.exact_while_recalibrating.fetch_add(
                 1, std::memory_order_relaxed);
         } else {
             const runtime::VariantRun probe =
-                state.tuner->run_probe(probe_index, job.seed);
+                state.tuner->run_probe(probe_index, job.input);
             const bool healthy =
                 !probe.trapped &&
                 runtime::quality_percent(state.metric, response.run.output,
@@ -376,12 +373,12 @@ void
 ApproxService::launch_jobs(std::size_t worker, KernelState& state,
                            const std::vector<Job*>& jobs)
 {
-    std::vector<std::uint64_t> seeds;
-    seeds.reserve(jobs.size());
+    std::vector<runtime::Input> inputs;
+    inputs.reserve(jobs.size());
     for (const Job* job : jobs)
-        seeds.push_back(job->seed);
+        inputs.push_back(job->input);
 
-    // One watchdog flight per launch, one token per member in seeds order
+    // One watchdog flight per launch, one token per member in input order
     // — the order launch_batch sees, which is what lets the sweep
     // scatter-cancel exactly the expired members.  The tokens are armed
     // around the tuner call only: the shadow and watchdog-fallback exact
@@ -408,7 +405,7 @@ ApproxService::launch_jobs(std::size_t worker, KernelState& state,
     runtime::BatchServed batch;
     try {
         exec::BatchCancelScope scope(watched ? &member_tokens : nullptr);
-        batch = state.tuner->serve_batch(seeds);
+        batch = state.tuner->serve_batch(inputs);
     } catch (...) {
         if (watched)
             watchdog_.end_flight(worker);
@@ -437,56 +434,21 @@ ApproxService::launch_jobs(std::size_t worker, KernelState& state,
         metrics_.launch_groups_completed.fetch_add(
             static_cast<std::uint64_t>(served.run.groups_completed),
             std::memory_order_relaxed);
-        if (served.run.cancelled && watched) {
-            any_cancelled = true;
-            resolve_job(*jobs[i],
-                        finish_cancelled(state, jobs[i]->seed, served,
-                                         *tokens[i], hang_charged));
-            continue;
-        }
-
+        any_cancelled = any_cancelled || (served.run.cancelled && watched);
+        // Each member resolves exactly once whatever its follow-up runs
+        // do: an exception from them (a watchdog fallback's exact run)
+        // resolves this member with it, and the batch's other members
+        // and the worker carry on.
         Response response;
-        response.run = std::move(served.run);
-        response.served_by = std::move(served.label);
-        response.degraded = served.degraded;
-        response.trap_fallback = served.trap_fallback;
-        if (served.trap_fallback)
-            metrics_.trap_fallbacks.fetch_add(1, std::memory_order_relaxed);
-        if (served.degraded)
-            metrics_.degraded_serves.fetch_add(1,
-                                               std::memory_order_relaxed);
-
-        // Shadow only clean approximate runs, one admit() decision per
-        // request: auditing exact against itself tells the monitor
-        // nothing, a trap fallback already reported its failure, and a
-        // degraded serve is *expected* to miss the TOQ — a deliberate
-        // load-shedding choice must not read as drift or count against
-        // the variant's breaker.  The short-circuit also keeps admit()
-        // from burning shadow slots on runs that cannot be audited.
-        const bool shadow = served.index != 0 && !served.trap_fallback &&
-                            !served.degraded &&
-                            state.monitor.admit(jobs[i]->seed);
-        if (shadow) {
-            runtime::VariantRun exact =
-                state.tuner->run_exact(jobs[i]->seed);
-            response.shadowed = true;
-            response.shadow_quality = runtime::quality_percent(
-                state.metric, exact.output, response.run.output);
-            metrics_.shadow_runs.fetch_add(1, std::memory_order_relaxed);
-            if (response.shadow_quality < state.toq) {
-                metrics_.shadow_violations.fetch_add(
-                    1, std::memory_order_relaxed);
-                // A quality failure counts against the variant's breaker
-                // just like a trap: K sustained misses quarantine it even
-                // before the monitor's slower drift trigger fires.
-                state.tuner->record_failure(served.index);
-                // The audit already produced the exact answer; the
-                // client gets it instead of the output that failed.
-                response.run = std::move(exact);
-                response.served_by = state.tuner->exact_label();
-            }
-            if (state.monitor.record(response.shadow_quality))
-                trigger_recalibration(state, {});
+        try {
+            response = served.run.cancelled && watched
+                           ? finish_cancelled(state, jobs[i]->input, served,
+                                              *tokens[i], hang_charged)
+                           : finish_served(state, *jobs[i], served);
+        } catch (...) {
+            jobs[i]->promise.set_exception(std::current_exception());
+            finish_one();
+            continue;
         }
         resolve_job(*jobs[i], std::move(response));
     }
@@ -498,7 +460,67 @@ ApproxService::launch_jobs(std::size_t worker, KernelState& state,
 }
 
 Response
-ApproxService::finish_cancelled(KernelState& state, std::uint64_t seed,
+ApproxService::finish_served(KernelState& state, const Job& job,
+                             runtime::ServedRun& served)
+{
+    Response response;
+    response.run = std::move(served.run);
+    response.served_by = std::move(served.label);
+    response.degraded = served.degraded;
+    response.trap_fallback = served.trap_fallback;
+    if (served.trap_fallback)
+        metrics_.trap_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    if (served.degraded)
+        metrics_.degraded_serves.fetch_add(1, std::memory_order_relaxed);
+
+    // Shadow only clean approximate runs, one admit() decision per
+    // request: auditing exact against itself tells the monitor nothing,
+    // a trap fallback already reported its failure, and a degraded serve
+    // is *expected* to miss the TOQ — a deliberate load-shedding choice
+    // must not read as drift or count against the variant's breaker.
+    // The short-circuit also keeps admit() from burning shadow slots on
+    // runs that cannot be audited.
+    const bool shadow = served.index != 0 && !served.trap_fallback &&
+                        !served.degraded &&
+                        state.monitor.admit(job.input.seed());
+    if (!shadow)
+        return response;
+
+    // The exact run reuses the request's input build.  An exact run that
+    // throws or traps gives nothing to judge by: the audit is void, the
+    // served output stands, and neither the breaker nor the monitor
+    // hears of it.
+    runtime::VariantRun exact;
+    try {
+        exact = state.tuner->run_exact(job.input);
+    } catch (...) {
+        return response;
+    }
+    if (exact.trapped)
+        return response;
+    response.shadowed = true;
+    response.shadow_quality = runtime::quality_percent(
+        state.metric, exact.output, response.run.output);
+    metrics_.shadow_runs.fetch_add(1, std::memory_order_relaxed);
+    if (response.shadow_quality < state.toq) {
+        metrics_.shadow_violations.fetch_add(1, std::memory_order_relaxed);
+        // A quality failure counts against the variant's breaker just
+        // like a trap: K sustained misses quarantine it even before the
+        // monitor's slower drift trigger fires.
+        state.tuner->record_failure(served.index);
+        // The audit already produced the exact answer; the client gets
+        // it instead of the output that failed.
+        response.run = std::move(exact);
+        response.served_by = state.tuner->exact_label();
+    }
+    if (state.monitor.record(response.shadow_quality))
+        trigger_recalibration(state, {});
+    return response;
+}
+
+Response
+ApproxService::finish_cancelled(KernelState& state,
+                                const runtime::Input& input,
                                 const runtime::ServedRun& served,
                                 const vm::CancelToken& cancel,
                                 bool& hang_charged)
@@ -515,7 +537,7 @@ ApproxService::finish_cancelled(KernelState& state, std::uint64_t seed,
             state.tuner->record_failure(served.index);
             hang_charged = true;
         }
-        response.run = state.tuner->run_exact(seed);
+        response.run = state.tuner->run_exact(input);
         response.served_by = state.tuner->exact_label();
         response.watchdog_fallback = true;
         metrics_.watchdog_fallbacks.fetch_add(1,

@@ -382,9 +382,13 @@ class ApproxService {
         std::atomic<double> expected_launch_seconds{0.0};
     };
 
+    /// One admitted request.  Its Input travels with it through the
+    /// served run, the trap fallback, the shadow audit, the watchdog
+    /// fallback and the probe detour, so they all share one build of the
+    /// request's input; the build goes when the job does.
     struct Job {
         KernelState* kernel = nullptr;
-        std::uint64_t seed = 0;
+        runtime::Input input;
         std::optional<std::chrono::steady_clock::time_point> deadline;
         /// Admission time, for sojourn latency (submit -> resolution).
         std::chrono::steady_clock::time_point submitted_at;
@@ -407,7 +411,7 @@ class ApproxService {
     /// under one watchdog flight (one cancel token per member, armed via
     /// exec::BatchCancelScope) in @p worker's slot, then build each
     /// member's response — cancellation, trap fallback, shadow audit —
-    /// and resolve it.
+    /// and resolve it, with the exception when building it threw.
     void launch_jobs(std::size_t worker, KernelState& state,
                      const std::vector<Job*>& jobs);
     /// Resolve one job's future with @p response.  Ok responses record
@@ -415,11 +419,19 @@ class ApproxService {
     /// cancellations) resolve the future and the flight only, keeping
     /// `served` a count of successfully served requests.
     void resolve_job(Job& job, Response response);
+    /// Post-launch handling for a run that completed: the response, and
+    /// the shadow audit when the monitor admits one.  An audit whose
+    /// exact run throws or traps is void: the served output stands and
+    /// nothing is charged or recorded.  Returns the response to resolve
+    /// with.
+    Response finish_served(KernelState& state, const Job& job,
+                           runtime::ServedRun& served);
     /// Post-launch handling for a run the token stopped mid-flight:
     /// Deadline -> DeadlineExceeded response; Watchdog -> charge the
     /// variant's breaker (once per launch, see @p hang_charged) and
-    /// re-serve exact.  Returns the response to resolve with.
-    Response finish_cancelled(KernelState& state, std::uint64_t seed,
+    /// re-serve exact on @p input.  Returns the response to resolve with;
+    /// throws what the exact re-serve throws.
+    Response finish_cancelled(KernelState& state, const runtime::Input& input,
                               const runtime::ServedRun& served,
                               const vm::CancelToken& cancel,
                               bool& hang_charged);

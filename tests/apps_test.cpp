@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -138,6 +139,45 @@ TEST_P(AppSuite, PricingOnceKeepsTheMeanCycleFallbackChain)
         EXPECT_EQ(tuner.calibration_state().fallback_order, expected)
             << app().info().name << " on " << device.name;
     }
+}
+
+TEST_P(AppSuite, SelectedVariantAfterExactOnOneInputMatchesFreshBuilds)
+{
+    // A served request runs exact (the shadow audit) and its selection on
+    // one runtime::Input.  Each launch must see the input as a fresh build
+    // would: neither may write the shared build.  No app sums floats
+    // atomically, so the outputs must match bit for bit.
+    const std::vector<runtime::Variant> variants = app().variants(kGpu);
+    runtime::Tuner tuner(variants, app().info().metric, 90.0);
+    tuner.calibrate({11, 22});
+    const runtime::Variant& exact = variants[0];
+    const runtime::Variant& selected =
+        variants[static_cast<std::size_t>(tuner.selected_index())];
+    auto fast = [](const runtime::Variant& variant,
+                   const runtime::Input& input) {
+        return variant.run_fast ? variant.run_fast(input)
+                                : variant.run(input);
+    };
+    auto same_bits = [](const std::vector<float>& a,
+                        const std::vector<float>& b) {
+        return a.size() == b.size() &&
+               std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) ==
+                   0;
+    };
+
+    const std::uint64_t seed = 100;
+    const runtime::Input input(seed);
+    const runtime::VariantRun exact_shared = fast(exact, input);
+    const runtime::VariantRun selected_shared = fast(selected, input);
+    const runtime::VariantRun exact_again = fast(exact, input);
+    EXPECT_FALSE(selected_shared.trapped) << app().info().name;
+    EXPECT_TRUE(same_bits(exact_shared.output, fast(exact, seed).output))
+        << app().info().name;
+    EXPECT_TRUE(
+        same_bits(selected_shared.output, fast(selected, seed).output))
+        << app().info().name << ": " << selected.label;
+    EXPECT_TRUE(same_bits(exact_again.output, exact_shared.output))
+        << app().info().name;
 }
 
 std::string

@@ -55,7 +55,8 @@ chaos_variant(const std::string& label, int aggressiveness, float bias,
               double cycles, int sleep_ms = 0)
 {
     return {label, aggressiveness,
-            [label, bias, cycles, sleep_ms](std::uint64_t seed) {
+            [label, bias, cycles, sleep_ms](const runtime::Input& input) {
+                const std::uint64_t seed = input.seed();
                 if (sleep_ms > 0)
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(sleep_ms));
@@ -736,7 +737,8 @@ vm_variant(std::shared_ptr<vm::Program> program, const std::string& label,
            int aggressiveness, double cycles, int heavy_rounds)
 {
     return {label, aggressiveness,
-            [program, cycles, heavy_rounds](std::uint64_t seed) {
+            [program, cycles, heavy_rounds](const runtime::Input& input) {
+                const std::uint64_t seed = input.seed();
                 constexpr int kItems = 2048;
                 exec::Buffer out = exec::Buffer::zeros_f32(kItems);
                 exec::ArgPack args;

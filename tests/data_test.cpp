@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include "parser/parser.h"
 #include "runtime/data_tier.h"
 #include "runtime/quality.h"
+#include "serve/service.h"
 #include "store/artifact_store.h"
 #include "support/error.h"
 #include "support/rng.h"
@@ -665,6 +667,52 @@ TEST(DataTierTest, FastAndInstrumentedRunsAgreeOnOutputs)
         const runtime::VariantRun fast = variant.run_fast(11);
         EXPECT_EQ(instrumented.output, fast.output) << variant.label;
     }
+}
+
+TEST(DataTierTest, CalibrationAndAuditsBuildEachInputOnce)
+{
+    auto builds = std::make_shared<std::atomic<int>>(0);
+    TierFixture fx;
+    fx.plan.bind_inputs = [bind = fx.plan.bind_inputs, builds](
+                              std::uint64_t seed, ArgPack& args,
+                              std::vector<std::unique_ptr<Buffer>>& holder) {
+        builds->fetch_add(1);
+        bind(seed, args, holder);
+    };
+    const runtime::DataTier tier =
+        runtime::build_data_tier(fx.session, fx.plan);
+    runtime::Tuner tuner(tier.variants, runtime::Metric::MeanRelativeError,
+                         90.0, /*check_interval=*/1);
+
+    builds->store(0);
+    tuner.calibrate({1, 2, 3});
+    EXPECT_EQ(builds->load(), 3);
+    ASSERT_NE(tuner.selected_index(), 0);
+
+    // The served run and its exact audit share one build.
+    builds->store(0);
+    EXPECT_FALSE(tuner.invoke(100).trapped);
+    EXPECT_EQ(tuner.stats().quality_checks, 1u);
+    EXPECT_EQ(builds->load(), 1);
+
+    // So do a served request and its shadow.
+    serve::ServiceConfig config;
+    config.num_workers = 1;
+    config.monitor.shadow_interval = 1;
+    config.monitor.trigger_streak = 1000000;
+    serve::ApproxService service(config);
+    service.register_family(
+        "tier",
+        runtime::data_tier_family(fx.session, fx.plan,
+                                  runtime::Metric::MeanRelativeError, 90.0),
+        runtime::Metric::MeanRelativeError, 90.0, {1, 2, 3});
+    ASSERT_NE(service.kernel_snapshot("tier").selected, "exact");
+    builds->store(0);
+    serve::Ticket ticket = service.submit("tier", 100);
+    ASSERT_TRUE(ticket.accepted);
+    EXPECT_TRUE(ticket.response.get().shadowed);
+    EXPECT_EQ(builds->load(), 1);
+    service.stop();
 }
 
 TEST(DataTierTest, StoredPlanPackingAPinnedBufferIsRejected)

@@ -188,7 +188,8 @@ TEST(PipelineTest, TrappingVariantFallsBackAtRuntime)
         return runtime::Variant{
             label, aggressiveness,
             [program, calib_bias, runtime_bias,
-             cycles](std::uint64_t seed) {
+             cycles](const runtime::Input& input) {
+                const std::uint64_t seed = input.seed();
                 Buffer out = Buffer::zeros_f32(64);
                 ArgPack args;
                 args.buffer("out", out);

@@ -76,7 +76,8 @@ fake_variant(const std::string& label, int aggressiveness, float bias,
              double cycles, int sleep_ms = 0)
 {
     return {label, aggressiveness,
-            [label, bias, cycles, sleep_ms](std::uint64_t seed) {
+            [label, bias, cycles, sleep_ms](const runtime::Input& input) {
+                const std::uint64_t seed = input.seed();
                 if (sleep_ms > 0)
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(sleep_ms));
@@ -866,9 +867,10 @@ TEST_F(PlaneTest, FailedSweepReleasesTheLockAndKeepsAdopting)
     PlaneConfig config;
     config.watch_interval = std::chrono::milliseconds(10);
     auto variants = fleet_variants();
-    variants[0].run = [exact = variants[0].run](std::uint64_t seed) {
+    variants[0].run = [exact = variants[0].run](const runtime::Input& input) {
+        const std::uint64_t seed = input.seed();
         if (seed < 9000)
-            return exact(seed);
+            return exact(input);
         VariantRun run;
         run.trapped = true;
         return run;
@@ -1419,7 +1421,8 @@ storm_variant(std::shared_ptr<vm::Program> program,
               const std::string& label, int aggressiveness, double cycles)
 {
     return {label, aggressiveness,
-            [program, cycles](std::uint64_t seed) {
+            [program, cycles](const runtime::Input& input) {
+                const std::uint64_t seed = input.seed();
                 constexpr int kItems = 256;
                 exec::Buffer out = exec::Buffer::zeros_f32(kItems);
                 exec::ArgPack args;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -296,6 +297,69 @@ TEST(JointCalibrationTest, ParallelMatchesSerialAndRepeats)
     repeat_tuner.calibrate(seeds, /*parallel=*/true);
     EXPECT_EQ(repeat_tuner.selected_label(),
               parallel_tuner.selected_label());
+}
+
+// -------------------------------------------------------------------------
+// One build per input: every stage binds once per runtime::Input.
+
+/// make_image_session() with every stage's bind_inputs counting its calls
+/// in @p builds.
+PipelineSession
+make_counting_session(std::shared_ptr<std::atomic<int>> builds)
+{
+    apps::ImagePipelineOptions options;
+    options.scale = 0.25;
+    Pipeline pipeline = apps::make_image_pipeline(options).pipeline;
+    for (PipelineStage& stage : pipeline.stages) {
+        stage.bind_inputs = [bind = stage.bind_inputs, builds](
+                                std::uint64_t seed, exec::ArgPack& args,
+                                std::vector<std::unique_ptr<exec::Buffer>>&
+                                    holder) {
+            builds->fetch_add(1);
+            bind(seed, args, holder);
+        };
+    }
+    return PipelineSession(std::move(pipeline));
+}
+
+TEST(PipelineInputTest, CalibrationAndAuditsBuildEachInputOnce)
+{
+    auto builds = std::make_shared<std::atomic<int>>(0);
+    PipelineSession session = make_counting_session(builds);
+    const int stages = static_cast<int>(session.num_stages());
+    Tuner tuner(session.joint_variants(), Metric::L1Norm, 90.0,
+                /*check_interval=*/1);
+
+    builds->store(0);
+    tuner.calibrate({kSeedA, kSeedB, 3});
+    EXPECT_EQ(builds->load(), 3 * stages);
+    ASSERT_NE(tuner.selected_index(), 0);
+
+    // The served run and its exact audit share one build.
+    builds->store(0);
+    EXPECT_FALSE(tuner.invoke(100).trapped);
+    EXPECT_EQ(tuner.stats().quality_checks, 1u);
+    EXPECT_EQ(builds->load(), stages);
+}
+
+TEST(PipelineInputTest, ShadowedRequestBuildsOnce)
+{
+    auto builds = std::make_shared<std::atomic<int>>(0);
+    PipelineSession session = make_counting_session(builds);
+    serve::ServiceConfig config;
+    config.num_workers = 1;
+    config.monitor.shadow_interval = 1;
+    config.monitor.trigger_streak = 1000000;
+    serve::ApproxService service(config);
+    service.register_family("edges", session.family(Metric::L1Norm, 90.0),
+                            Metric::L1Norm, 90.0, {kSeedA, kSeedB});
+
+    builds->store(0);
+    auto ticket = service.submit("edges", 100);
+    ASSERT_TRUE(ticket.accepted);
+    EXPECT_TRUE(ticket.response.get().shadowed);
+    EXPECT_EQ(builds->load(), static_cast<int>(session.num_stages()));
+    service.stop();
 }
 
 // -------------------------------------------------------------------------

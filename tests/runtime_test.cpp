@@ -115,7 +115,8 @@ Variant
 fake_variant(const std::string& label, int aggressiveness, float bias,
              double cycles, bool trap = false)
 {
-    return {label, aggressiveness, [bias, cycles, trap](std::uint64_t seed) {
+    return {label, aggressiveness, [bias, cycles, trap](const Input& input) {
+                const std::uint64_t seed = input.seed();
                 VariantRun run;
                 run.output = {static_cast<float>(seed % 100) + bias,
                               10.0f + bias};
@@ -124,6 +125,43 @@ fake_variant(const std::string& label, int aggressiveness, float bias,
                 run.trapped = trap;
                 return run;
             }};
+}
+
+TEST(TunerTest, AuditAgainstATrappedExactRunIsVoid)
+{
+    // Once calibrated, the exact kernel traps.  An audit has nothing to
+    // judge the served output by: it must neither count as a quality
+    // check nor charge the healthy variant's breaker, which under the
+    // default policy would demote it for good.
+    auto broken = std::make_shared<std::atomic<bool>>(false);
+    Variant exact = fake_variant("exact", 0, 0.0f, 1000.0);
+    exact.run = [broken, run = exact.run](const Input& input) {
+        if (!broken->load())
+            return run(input);
+        VariantRun trapped;
+        trapped.output = {0.0f, 0.0f};  // Partly written, as a trap leaves it.
+        trapped.trapped = true;
+        return trapped;
+    };
+    std::vector<Variant> variants;
+    variants.push_back(std::move(exact));
+    variants.push_back(fake_variant("good", 1, 0.1f, 500.0));
+    Tuner tuner(std::move(variants), Metric::MeanRelativeError, 90.0,
+                /*check_interval=*/1);
+    tuner.calibrate({1, 2, 3});
+    ASSERT_EQ(tuner.selected_label(), "good");
+
+    broken->store(true);
+    for (std::uint64_t seed = 100; seed < 103; ++seed) {
+        const VariantRun run = tuner.invoke(seed);
+        EXPECT_FALSE(run.trapped);
+        EXPECT_EQ(run.output,
+                  fake_variant("good", 1, 0.1f, 500.0).run(seed).output);
+    }
+    EXPECT_EQ(tuner.stats().quality_checks, 0u);
+    EXPECT_EQ(tuner.stats().violations, 0u);
+    EXPECT_EQ(tuner.stats().quarantines, 0u);
+    EXPECT_EQ(tuner.selected_label(), "good");
 }
 
 TEST(TunerTest, PicksFastestMeetingToq)
@@ -166,7 +204,8 @@ TEST(TunerTest, RuntimeViolationTriggersBackoff)
 {
     // A variant that is fine during calibration (seeds < 100) but
     // degrades at runtime (seeds >= 100).
-    Variant shifty{"shifty", 1, [](std::uint64_t seed) {
+    Variant shifty{"shifty", 1, [](const Input& input) {
+                       const std::uint64_t seed = input.seed();
                        VariantRun run;
                        const float bias = seed >= 100 ? 50.0f : 0.01f;
                        run.output = {static_cast<float>(seed % 7) + bias,
@@ -193,7 +232,8 @@ Variant
 degrading_variant(const std::string& label, int aggressiveness,
                   double cycles)
 {
-    return {label, aggressiveness, [cycles](std::uint64_t seed) {
+    return {label, aggressiveness, [cycles](const Input& input) {
+                const std::uint64_t seed = input.seed();
                 VariantRun run;
                 const float bias = seed >= 100 ? 50.0f : 0.01f;
                 run.output = {static_cast<float>(seed % 7) + bias, 10.0f};
@@ -313,7 +353,8 @@ TEST(TunerTest, RunSelectedSkipsAuditsButCountsInvocations)
 
 TEST(TunerTest, RunSelectedTrapStillDemotes)
 {
-    Variant unstable{"unstable", 1, [](std::uint64_t seed) {
+    Variant unstable{"unstable", 1, [](const Input& input) {
+                         const std::uint64_t seed = input.seed();
                          VariantRun run;
                          run.output = {static_cast<float>(seed % 7), 10.0f};
                          run.modeled_cycles = 10.0;
@@ -366,7 +407,8 @@ TEST(TunerTest, TrappedAtRuntimeBacksOffPermanently)
 {
     // Safe during calibration, traps at runtime: the tuner must serve the
     // input with the exact kernel and demote the variant for good.
-    Variant unstable{"unstable", 1, [](std::uint64_t seed) {
+    Variant unstable{"unstable", 1, [](const Input& input) {
+                         const std::uint64_t seed = input.seed();
                          VariantRun run;
                          run.output = {static_cast<float>(seed % 7) + 0.01f,
                                        10.0f};
@@ -437,7 +479,8 @@ TEST(TunerTest, SelectedLabelLockedAgainstConcurrentBackoff)
     // selected_ without the tuner lock, racing with the serving path's
     // reselection.  Here readers poll the selection while trap-driven
     // backoffs rewrite it.
-    Variant unstable{"unstable", 1, [](std::uint64_t seed) {
+    Variant unstable{"unstable", 1, [](const Input& input) {
+                         const std::uint64_t seed = input.seed();
                          VariantRun run;
                          run.output = {static_cast<float>(seed % 7),
                                        10.0f};
@@ -505,9 +548,9 @@ TEST(TunerTest, ServeBatchUsesCoalescedClosureInFastMode)
     std::vector<Variant> variants;
     variants.push_back(fake_variant("exact", 0, 0.0f, 1000.0));
     Variant good = fake_variant("good", 1, 0.1f, 500.0);
-    good.run_fast = [fast_calls, run = good.run](std::uint64_t seed) {
+    good.run_fast = [fast_calls, run = good.run](const Input& input) {
         fast_calls->fetch_add(1);
-        return run(seed);
+        return run(input);
     };
     good.run_batch = [batch_calls,
                       run = good.run](const std::vector<std::uint64_t>&
@@ -554,19 +597,21 @@ struct ClosureCalls {
 Variant
 counted(Variant variant, std::shared_ptr<ClosureCalls> calls)
 {
-    variant.run_fast = [calls, run = variant.run](std::uint64_t seed) {
+    variant.run_fast = [calls, run = variant.run](const Input& input) {
+        const std::uint64_t seed = input.seed();
         {
             std::lock_guard<std::mutex> lock(calls->mutex);
             calls->fast.push_back(seed);
         }
-        return run(seed);
+        return run(input);
     };
-    variant.run = [calls, run = variant.run](std::uint64_t seed) {
+    variant.run = [calls, run = variant.run](const Input& input) {
+        const std::uint64_t seed = input.seed();
         {
             std::lock_guard<std::mutex> lock(calls->mutex);
             calls->priced.push_back(seed);
         }
-        return run(seed);
+        return run(input);
     };
     return variant;
 }
@@ -576,7 +621,8 @@ TEST(TunerTest, CalibrationPricesOnceAndScoresEveryInputFast)
     // "varying" costs 250 cycles on seed 1 and 2000 on every other seed.
     // Priced on seed 1 alone it is 4x exact and wins; a mean over all
     // three seeds would rank it below "steady" (0.7x against 2x).
-    Variant varying{"varying", 2, [](std::uint64_t seed) {
+    Variant varying{"varying", 2, [](const Input& input) {
+                        const std::uint64_t seed = input.seed();
                         VariantRun run;
                         run.output = {static_cast<float>(seed % 100) + 0.1f,
                                       10.1f};
@@ -609,8 +655,8 @@ Variant
 priced_perturbed(Variant variant, float (*perturb)(float))
 {
     variant.run_fast = variant.run;
-    variant.run = [run = variant.run, perturb](std::uint64_t seed) {
-        VariantRun priced = run(seed);
+    variant.run = [run = variant.run, perturb](const Input& input) {
+        VariantRun priced = run(input);
         for (float& value : priced.output)
             value = perturb(value);
         return priced;
@@ -684,11 +730,11 @@ TEST(TunerTest, SequentialBatchMembersRunUnderTheirOwnCancelToken)
     std::vector<Variant> variants;
     variants.push_back(fake_variant("exact", 0, 0.0f, 1000.0));
     Variant good = fake_variant("good", 1, 0.1f, 500.0);
-    good.run = [seen, run = good.run](std::uint64_t seed) {
+    good.run = [seen, run = good.run](const Input& input) {
         const auto* tokens = exec::current_batch_cancel_tokens();
         seen->push_back(tokens && tokens->size() == 1 ? tokens->front()
                                                       : nullptr);
-        return run(seed);
+        return run(input);
     };
     variants.push_back(std::move(good));
     Tuner tuner(std::move(variants), Metric::MeanRelativeError, 90.0);
@@ -712,7 +758,8 @@ TEST(TunerTest, ServeBatchReservesTrappedMembersExactOnly)
 {
     std::vector<Variant> variants;
     variants.push_back(fake_variant("exact", 0, 0.0f, 1000.0));
-    variants.push_back({"fragile", 1, [](std::uint64_t seed) {
+    variants.push_back({"fragile", 1, [](const Input& input) {
+                            const std::uint64_t seed = input.seed();
                             VariantRun run;
                             run.output = {static_cast<float>(seed % 100) +
                                               0.1f,

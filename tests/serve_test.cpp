@@ -21,6 +21,7 @@
 #include "serve/queue.h"
 #include "serve/service.h"
 #include "serve/watchdog.h"
+#include "exec/launch.h"
 #include "support/error.h"
 #include "temp_dir.h"
 
@@ -390,7 +391,8 @@ fake_variant(const std::string& label, int aggressiveness, float bias,
              double cycles, int sleep_ms = 0)
 {
     return {label, aggressiveness,
-            [bias, cycles, sleep_ms](std::uint64_t seed) {
+            [bias, cycles, sleep_ms](const runtime::Input& input) {
+                const std::uint64_t seed = input.seed();
                 if (sleep_ms > 0)
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(sleep_ms));
@@ -411,7 +413,8 @@ fake_variant(const std::string& label, int aggressiveness, float bias,
 Variant
 drifting_variant(const std::string& label, double cycles)
 {
-    return {label, 1, [cycles](std::uint64_t seed) {
+    return {label, 1, [cycles](const runtime::Input& input) {
+                const std::uint64_t seed = input.seed();
                 VariantRun run;
                 const float bias = seed >= 100 ? 50.0f : 0.01f;
                 run.output = {static_cast<float>(seed % 100) + 1.0f + bias,
@@ -768,7 +771,8 @@ TEST(ApproxServiceTest, ServedByNamesTheVariantThatRan)
     // A trap mid-request falls back to the exact kernel; served_by must
     // name what actually produced the output, not the pre-trap selection.
     Variant unstable{"unstable", 1,
-                     [](std::uint64_t seed) {
+                     [](const runtime::Input& input) {
+                         const std::uint64_t seed = input.seed();
                          VariantRun run;
                          run.output = {static_cast<float>(seed % 100) +
                                            1.0f,
@@ -854,6 +858,167 @@ TEST(ApproxServiceTest, FailedShadowAuditServesTheExactOutput)
     }
     EXPECT_TRUE(audited);
     EXPECT_EQ(service.metrics().snapshot().shadow_violations, 1u);
+    service.stop();
+}
+
+// ---- A failing exact run ----------------------------------------------------
+
+/// fake_variant("exact", ...) whose runs, once @p broken is set, throw
+/// (or, with @p trap, come back trapped without an output).
+Variant
+breakable_exact(std::shared_ptr<std::atomic<bool>> broken, bool trap)
+{
+    Variant exact = fake_variant("exact", 0, 0.0f, 1000.0);
+    exact.run = [broken, trap,
+                 run = exact.run](const runtime::Input& input) {
+        if (!broken->load())
+            return run(input);
+        if (!trap)
+            throw std::runtime_error("exact kernel failed");
+        // A trapped launch leaves its output partly written.
+        VariantRun trapped;
+        trapped.output = {0.0f, 0.0f};
+        trapped.trapped = true;
+        return trapped;
+    };
+    return exact;
+}
+
+/// One worker that shadows every request, with the default breaker
+/// (three failures in a window quarantine a variant).
+ServiceConfig
+shadow_every_request()
+{
+    ServiceConfig config = small_service(1, 64);
+    config.monitor.shadow_interval = 1;
+    return config;
+}
+
+/// Serve seeds 10..13 against a broken exact kernel: each request must
+/// resolve, unshadowed, with the approximate variant's own output.
+void
+expect_void_audits(ApproxService& service)
+{
+    for (std::uint64_t seed = 10; seed < 14; ++seed) {
+        Ticket ticket = service.submit("k", seed);
+        ASSERT_TRUE(ticket.accepted);
+        const Response response = ticket.response.get();
+        EXPECT_EQ(response.status, ServeStatus::Ok);
+        EXPECT_EQ(response.served_by, "good");
+        EXPECT_FALSE(response.shadowed);
+        EXPECT_FALSE(response.trap_fallback);
+        EXPECT_EQ(response.run.output,
+                  fake_variant("good", 1, 0.1f, 100.0).run(seed).output);
+    }
+    service.drain();
+    const KernelSnapshot snapshot = service.kernel_snapshot("k");
+    EXPECT_EQ(snapshot.selected, "good");
+    EXPECT_EQ(snapshot.monitor.shadows, 0u);
+    for (const auto& breaker : snapshot.breakers)
+        EXPECT_EQ(breaker.failures, 0) << breaker.label;
+    const MetricsSnapshot metrics = service.metrics().snapshot();
+    EXPECT_EQ(metrics.served, 4u);
+    EXPECT_EQ(metrics.shadow_runs, 0u);
+    EXPECT_EQ(metrics.shadow_violations, 0u);
+}
+
+TEST(ApproxServiceTest, ThrowingShadowAuditIsVoidAndTheServedOutputStands)
+{
+    auto broken = std::make_shared<std::atomic<bool>>(false);
+    ApproxService service(shadow_every_request());
+    std::vector<Variant> variants;
+    variants.push_back(breakable_exact(broken, /*trap=*/false));
+    variants.push_back(fake_variant("good", 1, 0.1f, 100.0));
+    service.register_kernel("k", std::move(variants),
+                            Metric::MeanRelativeError, 90.0, {1, 2, 3});
+    ASSERT_EQ(service.kernel_snapshot("k").selected, "good");
+
+    broken->store(true);
+    expect_void_audits(service);
+    service.stop();
+}
+
+TEST(ApproxServiceTest, TrappedShadowAuditIsVoidAndChargesNothing)
+{
+    // The audit used to score the clean output against the trapped run's
+    // and, below the TOQ, serve the trapped run as Ok and charge the
+    // healthy variant: three requests quarantined it.
+    auto broken = std::make_shared<std::atomic<bool>>(false);
+    ApproxService service(shadow_every_request());
+    std::vector<Variant> variants;
+    variants.push_back(breakable_exact(broken, /*trap=*/true));
+    variants.push_back(fake_variant("good", 1, 0.1f, 100.0));
+    service.register_kernel("k", std::move(variants),
+                            Metric::MeanRelativeError, 90.0, {1, 2, 3});
+    ASSERT_EQ(service.kernel_snapshot("k").selected, "good");
+
+    broken->store(true);
+    expect_void_audits(service);
+    const MetricsSnapshot totals = service.snapshot().metrics;
+    EXPECT_EQ(totals.quarantines, 0u);
+    service.stop();
+}
+
+TEST(ApproxServiceTest, ThrowingWatchdogFallbackResolvesOnlyItsMember)
+{
+    // Seeds >= 1000 wedge the approximate variant until its cancel token
+    // fires; the watchdog then re-serves exact, which throws.  That
+    // member resolves with the exception; its batch-mate resolves Ok and
+    // the worker keeps serving.
+    auto broken = std::make_shared<std::atomic<bool>>(false);
+    Variant spinner = fake_variant("spinner", 1, 0.1f, 100.0);
+    spinner.run = [run = spinner.run](const runtime::Input& input) {
+        if (input.seed() < 1000)
+            return run(input);
+        const auto* tokens = exec::current_batch_cancel_tokens();
+        const vm::CancelToken* token =
+            tokens && tokens->size() == 1 ? tokens->front() : nullptr;
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (token && !token->cancelled() &&
+               std::chrono::steady_clock::now() < give_up)
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        VariantRun cancelled;
+        cancelled.cancelled = true;
+        return cancelled;
+    };
+
+    ServiceConfig config = small_service(1, 64);
+    config.watchdog.tick = std::chrono::milliseconds(1);
+    config.watchdog.hang_floor = std::chrono::milliseconds(80);
+    ApproxService service(config);
+    std::vector<Variant> variants;
+    variants.push_back(breakable_exact(broken, /*trap=*/false));
+    variants.push_back(std::move(spinner));
+    service.register_kernel("k", std::move(variants),
+                            Metric::MeanRelativeError, 90.0, {1, 2, 3});
+    ASSERT_EQ(service.kernel_snapshot("k").selected, "spinner");
+    // Another kernel holds the only worker while k's two requests queue
+    // up behind it, so they launch as one batch.
+    std::vector<Variant> slow;
+    slow.push_back(fake_variant("exact", 0, 0.0f, 1000.0, 30));
+    service.register_kernel("slow", std::move(slow),
+                            Metric::MeanRelativeError, 90.0, {1});
+
+    broken->store(true);
+    Ticket blocker = service.submit("slow", 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    Ticket clean = service.submit("k", 5);
+    Ticket hung = service.submit("k", 1000);
+    ASSERT_TRUE(blocker.accepted && clean.accepted && hung.accepted);
+    EXPECT_EQ(blocker.response.get().status, ServeStatus::Ok);
+    const Response served = clean.response.get();
+    EXPECT_EQ(served.status, ServeStatus::Ok);
+    EXPECT_EQ(served.served_by, "spinner");
+    EXPECT_THROW(hung.response.get(), std::runtime_error);
+
+    Ticket after = service.submit("k", 6);
+    ASSERT_TRUE(after.accepted);
+    EXPECT_EQ(after.response.get().served_by, "spinner");
+    service.drain();
+    const MetricsSnapshot metrics = service.metrics().snapshot();
+    EXPECT_EQ(metrics.watchdog_cancels, 1u);
+    EXPECT_EQ(metrics.watchdog_fallbacks, 0u);
     service.stop();
 }
 

@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstring>
 
 #include "device/memory_model.h"
 #include "parser/parser.h"
 #include "runtime/session.h"
+#include "serve/service.h"
+#include "support/faultinject.h"
 #include "support/rng.h"
 #include "vm/program_cache.h"
 
@@ -249,6 +254,255 @@ TEST(SessionTest, MembersExposeFamilyMetadata)
     // Source-module kernels resolve through the same cache.
     EXPECT_NE(session.program("apply"), nullptr);
     EXPECT_EQ(session.program("apply"), exact->program);
+}
+
+// ---- One build per input ----------------------------------------------------
+//
+// Every run on one runtime::Input shares one build of it: the closures
+// bind their inputs once per Input and launch on copies of only the
+// buffers each program writes.
+
+bool
+same_bits(const std::vector<float>& a, const std::vector<float>& b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// Reads and writes one buffer: a launch that wrote the shared build would
+// hand the next launch on the same Input doubled data.
+const char* kInPlaceSource = R"(
+__kernel void twice(__global float* data) {
+    int i = get_global_id(0);
+    data[i] = data[i] * 2.0f + 1.0f;
+}
+)";
+
+TEST(InputBuildTest, InPlaceKernelRunsTwiceOnOneInputAsOnFreshBuilds)
+{
+    auto module = parser::parse_module(kInPlaceSource);
+    core::LaunchPlan plan;
+    plan.config = exec::LaunchConfig::linear(kN, 64);
+    plan.output_buffer = "data";
+    plan.bind_inputs =
+        [](std::uint64_t seed, exec::ArgPack& args,
+           std::vector<std::unique_ptr<exec::Buffer>>& storage) {
+            Rng rng(seed);
+            storage.push_back(
+                std::make_unique<exec::Buffer>(exec::Buffer::from_floats(
+                    rng.uniform_vector(kN, -4.0f, 4.0f))));
+            args.buffer("data", *storage.back());
+        };
+    const std::vector<Variant> variants = core::make_variants(
+        module, "twice", std::vector<core::GeneratedKernel>{}, plan,
+        device::DeviceModel::gtx560());
+    ASSERT_EQ(variants.size(), 1u);
+
+    const Input input(7);
+    const VariantRun fresh = variants[0].run_fast(7);
+    for (int round = 0; round < 2; ++round) {
+        EXPECT_TRUE(same_bits(variants[0].run_fast(input).output,
+                              fresh.output))
+            << "round " << round;
+        EXPECT_TRUE(
+            same_bits(variants[0].run(input).output, fresh.output))
+            << "round " << round;
+    }
+}
+
+TEST(InputBuildTest, FloatAtomicTargetIsNotAccumulatedAcrossRuns)
+{
+    auto module = parser::parse_module(kAtomicSource);
+    core::LaunchPlan plan;
+    plan.config = exec::LaunchConfig::linear(kAtomicItems, 16);
+    plan.output_buffer = "sum";
+    plan.bind_inputs =
+        [](std::uint64_t seed, exec::ArgPack& args,
+           std::vector<std::unique_ptr<exec::Buffer>>& storage) {
+            Rng rng(seed);
+            storage.push_back(
+                std::make_unique<exec::Buffer>(exec::Buffer::from_floats(
+                    rng.uniform_vector(kAtomicItems * kAtomicPerItem, 0.0f,
+                                       1.0f))));
+            args.buffer("in", *storage.back());
+            storage.push_back(
+                std::make_unique<exec::Buffer>(exec::Buffer::zeros_f32(1)));
+            args.buffer("sum", *storage.back());
+            args.scalar("n", kAtomicPerItem);
+        };
+    const std::vector<Variant> variants = core::make_variants(
+        module, "total", std::vector<core::GeneratedKernel>{}, plan,
+        device::DeviceModel::gtx560());
+
+    // The sum's last bits follow the order of the additions (see
+    // docs/cost_model.md), so runs agree within the TOQ, not bit for bit;
+    // a sum that kept the previous run's total would be twice as large.
+    const Input input(3);
+    const VariantRun fresh = variants[0].run_fast(3);
+    for (int round = 0; round < 3; ++round) {
+        EXPECT_GE(quality_percent(Metric::MeanRelativeError, fresh.output,
+                                  variants[0].run_fast(input).output),
+                  90.0)
+            << "round " << round;
+    }
+}
+
+/// test_plan() whose bind_inputs counts its calls in @p builds.
+core::LaunchPlan
+counting_plan(std::shared_ptr<std::atomic<int>> builds)
+{
+    core::LaunchPlan plan = test_plan();
+    plan.bind_inputs = [bind = plan.bind_inputs, builds](
+                           std::uint64_t seed, exec::ArgPack& args,
+                           std::vector<std::unique_ptr<exec::Buffer>>&
+                               storage) {
+        builds->fetch_add(1);
+        bind(seed, args, storage);
+    };
+    return plan;
+}
+
+TEST(InputBuildTest, CalibrationBuildsEachTrainingInputOnce)
+{
+    auto module = parser::parse_module(kSource);
+    KernelSession session(module, "apply", test_options());
+    ASSERT_GE(session.members().size(), 2u);
+    auto builds = std::make_shared<std::atomic<int>>(0);
+    const std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
+    for (const bool parallel : {true, false}) {
+        Tuner tuner = session.tuner(counting_plan(builds),
+                                    Metric::MeanRelativeError);
+        builds->store(0);
+        tuner.calibrate(seeds, parallel);
+        // V priced launches and V x S Fast ones, over S builds.
+        EXPECT_EQ(builds->load(), static_cast<int>(seeds.size()))
+            << (parallel ? "parallel" : "serial");
+    }
+}
+
+TEST(InputBuildTest, InvokeAuditReusesTheServedBuild)
+{
+    auto module = parser::parse_module(kSource);
+    KernelSession session(module, "apply", test_options());
+    auto builds = std::make_shared<std::atomic<int>>(0);
+    Tuner tuner = session.tuner(counting_plan(builds),
+                                Metric::MeanRelativeError, -1.0,
+                                /*check_interval=*/1);
+    tuner.calibrate({1, 2, 3});
+    ASSERT_NE(tuner.selected_index(), 0);
+
+    builds->store(0);
+    const VariantRun run = tuner.invoke(100);
+    EXPECT_FALSE(run.trapped);
+    EXPECT_EQ(tuner.stats().quality_checks, 1u);
+    EXPECT_EQ(builds->load(), 1);
+}
+
+/// A one-worker service over the counting family "k" that shadows, and
+/// probes, every eligible request and never recalibrates.  One failure
+/// quarantines a variant, and a half-open probe is due one invocation
+/// later.
+class CountingServiceTest : public ::testing::Test {
+  protected:
+    void
+    SetUp() override
+    {
+        fault::FaultInjector::instance().disarm();
+        module_ = parser::parse_module(kSource);
+        session_ = std::make_unique<KernelSession>(module_, "apply",
+                                                   test_options());
+        serve::ServiceConfig config;
+        config.num_workers = 1;
+        config.monitor.shadow_interval = 1;
+        config.monitor.trigger_streak = 1000000;
+        config.watchdog.hang_floor = std::chrono::milliseconds(60);
+        config.quarantine = {/*failure_threshold=*/1, /*failure_window=*/64,
+                             /*cooldown=*/1, /*cooldown_growth=*/1.0,
+                             /*max_cooldown=*/1, /*probe_quota=*/1};
+        service_ = std::make_unique<serve::ApproxService>(config);
+        service_->register_kernel("k",
+                                  session_->variants(counting_plan(builds_)),
+                                  Metric::MeanRelativeError, 90.0,
+                                  {1, 2, 3});
+        ASSERT_NE(service_->kernel_snapshot("k").selected, "exact");
+        builds_->store(0);
+    }
+
+    void
+    TearDown() override
+    {
+        fault::FaultInjector::instance().disarm();
+    }
+
+    serve::Response
+    serve_one(std::uint64_t seed)
+    {
+        serve::Ticket ticket = service_->submit("k", seed);
+        EXPECT_TRUE(ticket.accepted);
+        return ticket.response.get();
+    }
+
+    /// Arm @p site once on the generated variants' kernels (their names
+    /// contain "__"; the exact kernel's does not).
+    static void
+    arm_once(const std::string& site)
+    {
+        fault::FaultSpec spec;
+        spec.site = site;
+        spec.match = "__";
+        spec.every = 1;
+        spec.limit = 1;
+        fault::FaultInjector::instance().arm({spec});
+    }
+
+    std::shared_ptr<std::atomic<int>> builds_ =
+        std::make_shared<std::atomic<int>>(0);
+    ir::Module module_;
+    std::unique_ptr<KernelSession> session_;
+    std::unique_ptr<serve::ApproxService> service_;
+};
+
+TEST_F(CountingServiceTest, ShadowedRequestBuildsOnce)
+{
+    const serve::Response response = serve_one(100);
+    EXPECT_TRUE(response.shadowed);
+    EXPECT_EQ(builds_->load(), 1);
+}
+
+TEST_F(CountingServiceTest, TrapFallbackBuildsOnce)
+{
+    arm_once("vm.trap");
+    const serve::Response response = serve_one(100);
+    EXPECT_TRUE(response.trap_fallback);
+    EXPECT_EQ(response.served_by, "exact");
+    EXPECT_EQ(builds_->load(), 1);
+}
+
+TEST_F(CountingServiceTest, WatchdogFallbackBuildsOnce)
+{
+    arm_once("vm.hang");
+    const serve::Response response = serve_one(100);
+    EXPECT_TRUE(response.watchdog_fallback);
+    EXPECT_FALSE(response.run.output.empty());
+    EXPECT_EQ(builds_->load(), 1);
+}
+
+TEST_F(CountingServiceTest, HalfOpenProbeDetourBuildsOnce)
+{
+    // A trap quarantines the selection; the next request serves exact and
+    // moves the invocation clock past the cooldown, so the one after it
+    // rides a half-open probe.
+    arm_once("vm.trap");
+    EXPECT_TRUE(serve_one(100).trap_fallback);
+    EXPECT_EQ(serve_one(101).served_by, "exact");
+    ASSERT_EQ(service_->kernel_snapshot("k").tuner.probes, 0u);
+
+    builds_->store(0);
+    const serve::Response response = serve_one(102);
+    EXPECT_EQ(service_->kernel_snapshot("k").tuner.probes, 1u);
+    EXPECT_EQ(response.served_by, "exact");
+    EXPECT_EQ(builds_->load(), 1);
 }
 
 }  // namespace

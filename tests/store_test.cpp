@@ -780,7 +780,8 @@ TEST(StoreWarmStartTest, RestoreRejectsArityAndHostileCalibrations)
     const auto variant = [](const std::string& label, int aggr, float bias,
                             double cycles) {
         return runtime::Variant{label, aggr,
-                                [bias, cycles](std::uint64_t seed) {
+                                [bias, cycles](const runtime::Input& input) {
+                                    const std::uint64_t seed = input.seed();
                                     runtime::VariantRun run;
                                     run.output = {
                                         static_cast<float>(seed % 100) +
@@ -880,7 +881,8 @@ TEST(StoreWarmStartTest, HostileCalibrationNeverServesFromALiveService)
         const auto variant = [](const std::string& label, int aggr,
                                 float bias, double cycles) {
             return runtime::Variant{
-                label, aggr, [bias, cycles](std::uint64_t seed) {
+                label, aggr, [bias, cycles](const runtime::Input& input) {
+                    const std::uint64_t seed = input.seed();
                     runtime::VariantRun run;
                     run.output = {static_cast<float>(seed % 100) + 1.0f +
                                       bias,
