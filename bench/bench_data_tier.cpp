@@ -25,6 +25,7 @@
 #include "serve/service.h"
 #include "store/artifact_store.h"
 #include "support/stats.h"
+#include "support/temp_dir.h"
 #include "vm/program_cache.h"
 
 namespace paraprox::bench {
@@ -99,11 +100,11 @@ run_warm_phase(double scale, const std::vector<std::uint64_t>& seeds)
     // Honour an ambient store (CI sets PARAPROX_STORE_DIR so a second
     // *process* starts warm); otherwise use a fresh temp dir of this
     // process's own, removed on return.
-    std::optional<ScratchStoreDir> scratch;
+    std::optional<support::TempDir> scratch;
     std::shared_ptr<store::ArtifactStore> local_store;
     if (std::getenv("PARAPROX_STORE_DIR") == nullptr) {
-        scratch.emplace("data-tier");
-        local_store = store::ArtifactStore::configure_global(scratch->path());
+        scratch.emplace("bench-data-tier-store");
+        local_store = store::ArtifactStore::configure_global(scratch->path);
     }
 
     const auto device = device::DeviceModel::gtx560();

@@ -38,6 +38,7 @@
 #include "runtime/quality.h"
 #include "serve/service.h"
 #include "store/artifact_store.h"
+#include "support/temp_dir.h"
 #include "vm/program_cache.h"
 
 namespace paraprox::bench {
@@ -207,11 +208,11 @@ run_warm_phase(double scale, const std::vector<std::uint64_t>& seeds)
     // Honour an ambient store (CI sets PARAPROX_STORE_DIR so a second
     // *process* starts warm); otherwise use a fresh temp dir of this
     // process's own, removed on return.
-    std::optional<ScratchStoreDir> scratch;
+    std::optional<support::TempDir> scratch;
     std::shared_ptr<store::ArtifactStore> local_store;
     if (std::getenv("PARAPROX_STORE_DIR") == nullptr) {
-        scratch.emplace("pipeline");
-        local_store = store::ArtifactStore::configure_global(scratch->path());
+        scratch.emplace("bench-pipeline-store");
+        local_store = store::ArtifactStore::configure_global(scratch->path);
     }
 
     serve::ServiceConfig config;

@@ -2,9 +2,6 @@
 
 #include <cstdarg>
 #include <cstring>
-#include <system_error>
-
-#include <unistd.h>
 
 #include "exec/launch.h"
 #include "memo/table.h"
@@ -552,21 +549,6 @@ fmt(double value, int precision)
     char buffer[64];
     std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
     return buffer;
-}
-
-ScratchStoreDir::ScratchStoreDir(const std::string& tag)
-    : path_(std::filesystem::temp_directory_path() /
-            ("paraprox-bench-" + tag + "-store-" +
-             std::to_string(::getpid())))
-{
-    // A directory left by an earlier process with this pid is stale.
-    std::filesystem::remove_all(path_);
-}
-
-ScratchStoreDir::~ScratchStoreDir()
-{
-    std::error_code error;
-    std::filesystem::remove_all(path_, error);
 }
 
 }  // namespace paraprox::bench

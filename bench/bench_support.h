@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -125,23 +124,6 @@ bool json_wellformed(const std::string& text);
 /// Worker-thread count for concurrency benchmarks: the global pool's
 /// size, which honours the PARAPROX_THREADS environment override.
 std::size_t default_thread_count();
-
-/// A store directory of this process's own under the system temp dir,
-/// named after @p tag and the process id, and removed with everything in
-/// it when the object goes.  Concurrent bench runs never share one.
-class ScratchStoreDir {
-  public:
-    explicit ScratchStoreDir(const std::string& tag);
-    ~ScratchStoreDir();
-
-    ScratchStoreDir(const ScratchStoreDir&) = delete;
-    ScratchStoreDir& operator=(const ScratchStoreDir&) = delete;
-
-    const std::filesystem::path& path() const { return path_; }
-
-  private:
-    std::filesystem::path path_;
-};
 
 /// Print a horizontal rule + title.
 void print_header(const std::string& title);

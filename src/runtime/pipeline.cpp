@@ -82,9 +82,6 @@ struct PipelineRuntime {
         exec::LaunchConfig config;
         std::string input_param;
         std::string output_buffer;
-        std::function<void(std::uint64_t, exec::ArgPack&,
-                           std::vector<std::unique_ptr<exec::Buffer>>&)>
-            bind_inputs;
         device::DeviceModel device;
         std::vector<Member> members;
     };
@@ -209,7 +206,6 @@ PipelineSession::PipelineSession(Pipeline pipeline)
         exec_stage.config = stage.config;
         exec_stage.input_param = stage.input_param;
         exec_stage.output_buffer = stage.output_buffer;
-        exec_stage.bind_inputs = stage.bind_inputs;
         exec_stage.device = stage.options.device;
         for (const SessionMember& member : sessions_[s]->members()) {
             exec_stage.members.push_back(
@@ -255,6 +251,10 @@ PipelineSession::search(const JointSearchOptions& options)
     // prediction for any combination.
     std::vector<std::vector<double>> cost(num);
     {
+        // One build of the probe input serves every member: each launch
+        // copies only what its program writes.
+        const auto build =
+            Input(options.probe_seed).build(runtime_->inputs);
         std::vector<std::unique_ptr<exec::Buffer>> storage;
         exec::Buffer* upstream = nullptr;
         for (std::size_t s = 0; s < num; ++s) {
@@ -264,8 +264,8 @@ PipelineSession::search(const JointSearchOptions& options)
             exec::Buffer* exact_output = nullptr;
             for (std::size_t m = 0; m < stage.members.size(); ++m) {
                 const auto& member = stage.members[m];
-                exec::ArgPack args;
-                stage.bind_inputs(options.probe_seed, args, storage);
+                exec::ArgPack args =
+                    launch_args((*build)[s], member.written, storage);
                 if (!stage.input_param.empty())
                     args.buffer(stage.input_param, *upstream);
                 core::bind_tables(member.tables, args, storage);

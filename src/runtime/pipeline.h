@@ -170,10 +170,11 @@ class PipelineSession {
         vm::ExecMode mode = vm::ExecMode::Instrumented,
         std::vector<std::vector<float>>* stage_outputs = nullptr) const;
 
-    /// Run the joint search: price every stage member once on the probe
-    /// seed, enumerate the cross product, prune (dominance, then the
-    /// predicted-speed cap), and return the surviving configurations
-    /// fastest-predicted-first with the all-exact config at index 0.
+    /// Run the joint search: price every stage member once on one build
+    /// of the probe seed's input, enumerate the cross product, prune
+    /// (dominance, then the predicted-speed cap), and return the
+    /// surviving configurations fastest-predicted-first with the
+    /// all-exact config at index 0.
     /// Deterministic for a fixed pipeline and options (modeled cycles
     /// decide; ties break on the joint label).
     std::vector<JointConfig> search(const JointSearchOptions& options = {});

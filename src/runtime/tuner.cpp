@@ -334,8 +334,11 @@ Tuner::invoke(const Input& input)
         // The exact run reuses the served run's input.  An exact run
         // that traps has no output to judge by: the audit is void.
         VariantRun exact = execute(0, input);
-        if (exact.trapped)
+        if (exact.trapped) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++stats_.void_audits;
             return std::move(served.run);
+        }
         const double quality =
             quality_percent(metric_, exact.output, served.run.output);
         std::lock_guard<std::mutex> lock(mutex_);

@@ -113,6 +113,8 @@ struct TunerStats {
     std::uint64_t invocations = 0;
     std::uint64_t quality_checks = 0;
     std::uint64_t violations = 0;  ///< TOQ misses observed at runtime.
+    /// Audits whose exact run trapped: nothing to judge by, not checked.
+    std::uint64_t void_audits = 0;
     std::uint64_t recalibrations = 0;  ///< Full re-profiling passes.
     PARAPROX_TUNER_TOTALS(PARAPROX_COUNTER_FIELD)
 };

@@ -101,6 +101,9 @@ class BatchHistogram {
     X(std::int64_t, degradation_level)                                        \
     X(std::uint64_t, shadow_runs)                                             \
     X(std::uint64_t, shadow_violations)                                       \
+    /* Shadow audits the monitor admitted whose exact run threw or */         \
+    /* trapped: void, the served output stands and nothing is judged. */     \
+    X(std::uint64_t, shadow_void)                                             \
     X(std::uint64_t, recalibrations)                                          \
     X(std::uint64_t, exact_while_recalibrating)                               \
     /* Drift events this replica ceded to the fleet's calibration plane */    \

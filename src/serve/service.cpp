@@ -487,17 +487,19 @@ ApproxService::finish_served(KernelState& state, const Job& job,
         return response;
 
     // The exact run reuses the request's input build.  An exact run that
-    // throws or traps gives nothing to judge by: the audit is void, the
-    // served output stands, and neither the breaker nor the monitor
-    // hears of it.
+    // throws or traps gives nothing to judge by: the audit is void (and
+    // counted), the served output stands, and neither the breaker nor
+    // the monitor hears of it.
     runtime::VariantRun exact;
     try {
         exact = state.tuner->run_exact(job.input);
     } catch (...) {
+        exact.trapped = true;
+    }
+    if (exact.trapped) {
+        metrics_.shadow_void.fetch_add(1, std::memory_order_relaxed);
         return response;
     }
-    if (exact.trapped)
-        return response;
     response.shadowed = true;
     response.shadow_quality = runtime::quality_percent(
         state.metric, exact.output, response.run.output);

@@ -1,5 +1,5 @@
 /// @file
-/// Scratch directories for tests that touch the filesystem.
+/// Scratch directories for tests and benches that touch the filesystem.
 
 #pragma once
 
@@ -10,12 +10,12 @@
 #include <string>
 #include <system_error>
 
-namespace paraprox::tests {
+namespace paraprox::support {
 
 /// A fresh directory under the system temp path, removed with everything
 /// in it on destruction.  The name carries @p tag, the process id and a
-/// per-process counter, so concurrent test processes and repeated tests
-/// never share one.
+/// per-process counter, so concurrent processes and repeated uses never
+/// share one.
 struct TempDir {
     std::filesystem::path path;
 
@@ -36,4 +36,4 @@ struct TempDir {
     TempDir& operator=(const TempDir&) = delete;
 };
 
-}  // namespace paraprox::tests
+}  // namespace paraprox::support

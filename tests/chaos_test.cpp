@@ -24,8 +24,8 @@
 #include "store/artifact_store.h"
 #include "support/error.h"
 #include "support/faultinject.h"
+#include "support/temp_dir.h"
 #include "vm/compiler.h"
-#include "temp_dir.h"
 
 namespace paraprox::serve {
 namespace {
@@ -449,7 +449,7 @@ TEST_F(ChaosServeTest, QueuePressureStepsTheLadderDownAndBack)
 
 TEST_F(ChaosServeTest, CorruptedStoreRecordFallsBackToColdCalibration)
 {
-    const tests::TempDir dir("chaos-store");
+    const support::TempDir dir("chaos-store");
     const auto store = store::ArtifactStore::configure_global(dir.path);
 
     store::StoreKey key;

@@ -31,9 +31,9 @@
 #include "store/artifact_store.h"
 #include "support/error.h"
 #include "support/rng.h"
+#include "support/temp_dir.h"
 #include "vm/compiler.h"
 #include "vm/program_cache.h"
-#include "temp_dir.h"
 
 namespace paraprox::data {
 namespace {
@@ -749,7 +749,7 @@ TEST(DataTierTest, StoredPlanPackingAPinnedBufferIsRejected)
 
 TEST(DataTierTest, WarmRestartRestoresPlansWithZeroResearch)
 {
-    const tests::TempDir dir("data-tier-warm");
+    const support::TempDir dir("data-tier-warm");
     store::ArtifactStore::configure_global(dir.path);
     vm::ProgramCache::global().clear();
 

@@ -41,8 +41,8 @@
 #include "store/artifact_store.h"
 #include "support/faultinject.h"
 #include "support/socket.h"
+#include "support/temp_dir.h"
 #include "vm/compiler.h"
-#include "temp_dir.h"
 
 namespace paraprox::net {
 namespace {
@@ -51,7 +51,7 @@ using runtime::Metric;
 using runtime::Variant;
 using runtime::VariantRun;
 
-using tests::TempDir;
+using support::TempDir;
 
 class NetTest : public ::testing::Test {
   protected:

@@ -22,13 +22,13 @@
 #include "serve/service.h"
 #include "store/artifact_store.h"
 #include "store/format.h"
+#include "support/temp_dir.h"
 #include "vm/program_cache.h"
-#include "temp_dir.h"
 
 namespace paraprox::runtime {
 namespace {
 
-using tests::TempDir;
+using support::TempDir;
 
 /// The shared image pipeline at test scale (34x34 grid).
 PipelineSession
@@ -360,6 +360,20 @@ TEST(PipelineInputTest, ShadowedRequestBuildsOnce)
     EXPECT_TRUE(ticket.response.get().shadowed);
     EXPECT_EQ(builds->load(), static_cast<int>(session.num_stages()));
     service.stop();
+}
+
+TEST(PipelineInputTest, JointSearchPricesEveryMemberOnOneBuild)
+{
+    auto builds = std::make_shared<std::atomic<int>>(0);
+    PipelineSession session = make_counting_session(builds);
+
+    builds->store(0);
+    session.search();
+    std::size_t members = 0;
+    for (std::size_t s = 0; s < session.num_stages(); ++s)
+        members += session.stage_session(s).members().size();
+    EXPECT_EQ(session.search_info().probe_runs, members);
+    EXPECT_EQ(builds->load(), static_cast<int>(session.num_stages()));
 }
 
 // -------------------------------------------------------------------------

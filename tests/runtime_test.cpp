@@ -159,6 +159,7 @@ TEST(TunerTest, AuditAgainstATrappedExactRunIsVoid)
                   fake_variant("good", 1, 0.1f, 500.0).run(seed).output);
     }
     EXPECT_EQ(tuner.stats().quality_checks, 0u);
+    EXPECT_EQ(tuner.stats().void_audits, 3u);
     EXPECT_EQ(tuner.stats().violations, 0u);
     EXPECT_EQ(tuner.stats().quarantines, 0u);
     EXPECT_EQ(tuner.selected_label(), "good");

@@ -23,7 +23,7 @@
 #include "serve/watchdog.h"
 #include "exec/launch.h"
 #include "support/error.h"
-#include "temp_dir.h"
+#include "support/temp_dir.h"
 
 namespace paraprox::serve {
 namespace {
@@ -895,7 +895,8 @@ shadow_every_request()
 }
 
 /// Serve seeds 10..13 against a broken exact kernel: each request must
-/// resolve, unshadowed, with the approximate variant's own output.
+/// resolve, unshadowed, with the approximate variant's own output, and
+/// each audit must count as void.
 void
 expect_void_audits(ApproxService& service)
 {
@@ -920,6 +921,7 @@ expect_void_audits(ApproxService& service)
     EXPECT_EQ(metrics.served, 4u);
     EXPECT_EQ(metrics.shadow_runs, 0u);
     EXPECT_EQ(metrics.shadow_violations, 0u);
+    EXPECT_EQ(metrics.shadow_void, 4u);
 }
 
 TEST(ApproxServiceTest, ThrowingShadowAuditIsVoidAndTheServedOutputStands)
@@ -1024,7 +1026,7 @@ TEST(ApproxServiceTest, ThrowingWatchdogFallbackResolvesOnlyItsMember)
 
 TEST(ApproxServiceTest, WarmRegistrationRestoresCalibration)
 {
-    const tests::TempDir dir("serve-warm-registration");
+    const support::TempDir dir("serve-warm-registration");
     const auto store = store::ArtifactStore::configure_global(dir.path);
 
     store::StoreKey key;

@@ -22,13 +22,13 @@
 #include "store/artifact_store.h"
 #include "store/format.h"
 #include "support/rng.h"
+#include "support/temp_dir.h"
 #include "vm/program_cache.h"
-#include "temp_dir.h"
 
 namespace paraprox::store {
 namespace {
 
-using tests::TempDir;
+using support::TempDir;
 
 StoreKey
 test_key(const std::string& detail)
