@@ -64,8 +64,10 @@ measure_tier(apps::Application& app, const device::DeviceModel& device,
     m.plans = tier.variants.size();
 
     runtime::Tuner tuner(tier.variants, app.info().metric, kToq);
-    tuner.calibrate(seeds);
-    const int selected = tuner.selected_index();
+    // The modeled choice.  The tuner itself may serve exact: the
+    // interpreter decodes packed loads, so in wall clock a plan can lose.
+    const int selected =
+        runtime::modeled_order(tuner.calibrate(seeds)).front();
     m.selected = tier.variants[static_cast<std::size_t>(selected)].label;
 
     const runtime::VariantRun exact = tier.variants[0].run(holdout_seed);
@@ -161,7 +163,7 @@ run(bool smoke)
                "cycleX", "bytesX"},
               18);
 
-    BenchReport report("data_tier");
+    BenchReport report("data_tier", smoke);
     report.config()
         .set("toq", kToq)
         .set("scale", scale)

@@ -119,10 +119,10 @@ register_wall_benchmarks()
                     app->info().name.c_str(), ms(t0, t1), ms(t1, t2));
 
         runtime::Tuner tuner(std::move(warm), app->info().metric, kToq);
-        tuner.calibrate({7});
         auto prepared = std::make_shared<Prepared>();
         prepared->variants = std::move(variants);
-        prepared->selected = tuner.selected_index();
+        prepared->selected =
+            runtime::modeled_order(tuner.calibrate({7})).front();
         return prepared;
     };
 

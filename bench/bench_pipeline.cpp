@@ -288,7 +288,7 @@ run(bool smoke)
     std::printf("chain `%s` (%dx%d), %zu stages\n", session.name().c_str(),
                 built.width, built.height, session.num_stages());
 
-    BenchReport report("pipeline");
+    BenchReport report("pipeline", smoke);
     report.config()
         .set("pipeline", session.name())
         .set("toq", kToq)
@@ -300,7 +300,11 @@ run(bool smoke)
     // Joint tuning: the search prunes the cross product with per-stage
     // cost probes, then the tuner calibrates end-to-end.
     runtime::Tuner tuner(session.joint_variants(), kMetric, kToq);
-    tuner.calibrate(seeds);
+    // The modeled choice; the runtime serves another when this one loses
+    // to exact in wall clock.
+    const runtime::JointConfig& chosen =
+        session.configs()[runtime::modeled_order(tuner.calibrate(seeds))
+                              .front()];
     const auto& info = session.search_info();
     std::printf("joint search: %zu combinations, %zu dominated, %zu "
                 "capped, %zu measured end-to-end (%zu stage probes)\n\n",
@@ -308,11 +312,8 @@ run(bool smoke)
                 info.kept, info.probe_runs);
 
     const auto ref = measure_exact(session, seeds);
-    const auto joint = measure_config(
-        session, session.configs()[tuner.selected_index()].members, seeds,
-        ref);
-    const int joint_aggressiveness =
-        session.configs()[tuner.selected_index()].aggressiveness;
+    const auto joint = measure_config(session, chosen.members, seeds, ref);
+    const int joint_aggressiveness = chosen.aggressiveness;
 
     // Uniform per-stage baseline: sweep one shared per-stage TOQ upward
     // and keep the fastest composition that meets the end-to-end target.

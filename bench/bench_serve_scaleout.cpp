@@ -281,7 +281,7 @@ run(bool smoke)
     print_row({"replicas", "ok", "modeled rps", "speedup", "recals",
                "adopted", "redundant", "unresolved"});
 
-    BenchReport report("serve_scaleout");
+    BenchReport report("serve_scaleout", smoke);
     report.config()
         .set("toq", kToq)
         .set("scale", kScale)

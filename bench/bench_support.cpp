@@ -26,7 +26,9 @@ measure_app(apps::Application& app, const device::DeviceModel& device,
     runtime::Tuner tuner(variants, app.info().metric, toq);
     out.profiles = tuner.calibrate(seeds);
 
-    const int selected = tuner.selected_index();
+    // The modeled choice, which the paper's figures report; the runtime
+    // serves another when this one loses to exact in wall clock.
+    const int selected = runtime::modeled_order(out.profiles).front();
     out.chosen = out.profiles[selected].label;
     out.speedup = out.profiles[selected].speedup;
     out.wall_speedup = out.profiles[selected].wall_speedup;
@@ -303,7 +305,10 @@ JsonObject::dump() const
     return out;
 }
 
-BenchReport::BenchReport(std::string name) : name_(std::move(name)) {}
+BenchReport::BenchReport(std::string name, bool smoke)
+    : name_(std::move(name)), smoke_(smoke)
+{
+}
 
 JsonObject&
 BenchReport::add_row()
@@ -333,7 +338,8 @@ BenchReport::write() const
     }
     body += rows_.empty() ? "]\n}\n" : "\n  ]\n}\n";
 
-    const std::string path = "BENCH_" + name_ + ".json";
+    const std::string path =
+        "BENCH_" + name_ + (smoke_ ? ".smoke.json" : ".json");
     if (!json_wellformed(body)) {
         std::printf("note: %s body is not well-formed JSON; not written\n",
                     path.c_str());

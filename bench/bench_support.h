@@ -94,21 +94,24 @@ class JsonObject {
 /// Machine-readable companion to a bench's stdout tables: collects a
 /// config section, per-app rows, and an optional geomean, then writes
 /// `BENCH_<name>.json` into the working directory so CI and scripts can
-/// consume results without scraping tables.
+/// consume results without scraping tables.  A smoke run writes
+/// `BENCH_<name>.smoke.json` instead, which git ignores, so it never
+/// replaces a checked-in full-run baseline.
 class BenchReport {
   public:
-    explicit BenchReport(std::string name);
+    explicit BenchReport(std::string name, bool smoke = false);
 
     JsonObject& config() { return config_; }
     JsonObject& add_row();
     void set_geomean(double value);
 
-    /// Serialize to `BENCH_<name>.json`; returns the path written, or
-    /// an empty string (with a note on stdout) if the write failed.
+    /// Serialize to the report's file; returns the path written, or an
+    /// empty string (with a note on stdout) if the write failed.
     std::string write() const;
 
   private:
     std::string name_;
+    bool smoke_ = false;
     JsonObject config_;
     std::vector<JsonObject> rows_;
     double geomean_ = 0.0;

@@ -90,7 +90,7 @@ run(bool smoke)
                "speedup", "bit-id"},
               16);
 
-    BenchReport report("vm_dispatch");
+    BenchReport report("vm_dispatch", smoke);
     report.config()
         .set("scale", scale)
         .set("repetitions", repetitions)

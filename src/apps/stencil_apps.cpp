@@ -324,6 +324,8 @@ class ConvolutionApp final : public Application {
                 Buffer::zeros_f32(static_cast<std::size_t>(w) * h);
             Buffer weights = Buffer::from_floats(kWeights);
 
+            // The wall leaves the input synthesis above out.
+            const runtime::WallTimer wall;
             auto launch_one = [&](const vm::Program& program,
                                   const ArgPack& args,
                                   const LaunchConfig& config) {
@@ -351,9 +353,9 @@ class ConvolutionApp final : public Application {
             run.trapped = row_run.trapped || col_run.trapped;
             run.modeled_cycles =
                 row_run.modeled_cycles + col_run.modeled_cycles;
-            run.wall_seconds = row_run.wall_seconds + col_run.wall_seconds;
             run.instructions = row_run.instructions + col_run.instructions;
             runtime::attach_output(run, out);
+            run.wall_seconds = wall.seconds();
             return run;
         };
 

@@ -48,6 +48,7 @@ run_one(const Member& member, const VariantContext& context,
         const runtime::Input& input, vm::ExecMode mode)
 {
     const auto build = input.build(context.inputs);
+    const runtime::WallTimer wall;
     std::vector<std::unique_ptr<exec::Buffer>> storage;
     exec::ArgPack args =
         runtime::launch_args(build->front(), member.written, storage);
@@ -65,6 +66,7 @@ run_one(const Member& member, const VariantContext& context,
                                context.plan.output_buffer +
                                "` was not bound");
     runtime::attach_output(run, *output);
+    run.wall_seconds = wall.seconds();
     return run;
 }
 

@@ -79,6 +79,7 @@ run_plan(const TierContext& context, const data::PrecisionPlan& plan,
          const Input& input, vm::ExecMode mode)
 {
     const auto build = input.build(context.inputs);
+    const WallTimer wall;
     std::vector<std::unique_ptr<exec::Buffer>> storage;
     exec::ArgPack args =
         launch_args(build->front(), context.written, storage);
@@ -122,6 +123,7 @@ run_plan(const TierContext& context, const data::PrecisionPlan& plan,
                                    "` was not bound");
         attach_output(run, *output);
     }
+    run.wall_seconds = wall.seconds();
     return run;
 }
 

@@ -104,6 +104,7 @@ struct PipelineRuntime {
 
         VariantRun total;
         const auto build = input.build(inputs);
+        const WallTimer wall;
         std::vector<std::unique_ptr<exec::Buffer>> storage;
         exec::Buffer* upstream = nullptr;
         for (std::size_t s = 0; s < stages.size(); ++s) {
@@ -131,7 +132,6 @@ struct PipelineRuntime {
                     : run_priced(*member.program, args, stage.config,
                                  stage.device);
             total.modeled_cycles += run.modeled_cycles;
-            total.wall_seconds += run.wall_seconds;
             total.instructions += run.instructions;
             if (run.trapped) {
                 // Abort the chain: downstream stages would consume
@@ -139,6 +139,7 @@ struct PipelineRuntime {
                 if (stats)
                     stats->record_trap(s);
                 total.trapped = true;
+                total.wall_seconds = wall.seconds();
                 return total;
             }
 
@@ -152,6 +153,7 @@ struct PipelineRuntime {
             upstream = output;
         }
         attach_output(total, *upstream);
+        total.wall_seconds = wall.seconds();
         return total;
     }
 };

@@ -1,7 +1,6 @@
 #include "runtime/tuner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -20,6 +19,21 @@ constexpr std::uint64_t kNeverReopen =
     std::numeric_limits<std::uint64_t>::max();
 
 }  // namespace
+
+std::vector<int>
+modeled_order(const std::vector<VariantProfile>& profiles)
+{
+    std::vector<int> order;
+    for (std::size_t v = 1; v < profiles.size(); ++v) {
+        if (profiles[v].meets_toq)
+            order.push_back(static_cast<int>(v));
+    }
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+        return profiles[a].speedup > profiles[b].speedup;
+    });
+    order.push_back(0);
+    return order;
+}
 
 std::string
 to_string(BreakerState state)
@@ -50,52 +64,42 @@ Tuner::calibrate(const std::vector<std::uint64_t>& training_seeds,
     PARAPROX_CHECK(!training_seeds.empty(),
                    "calibration needs at least one training input");
 
-    // Job v < V prices variant v once, instrumented, on the first
-    // training input; job V + s * V + v runs variant v on seed s in Fast
-    // mode.  The priced jobs cost ~10x a Fast one and go first, so the
-    // dynamic scheduler does not end on one.  Every job on seed s shares
-    // inputs[s], so each training input is built once; the Fast jobs go
-    // seed by seed, and the job that ends a seed's last run drops its
-    // Input, so only the inputs in flight stay built.  Results are
-    // aggregated serially in a fixed order, so a parallel sweep selects
-    // what a serial one does; wall times are advisory under concurrency.
-    // The sweep runs outside the tuner lock so concurrent serve_batch()
-    // callers keep serving the previous selection during a
-    // recalibration.
+    // First the V priced jobs: each prices variant v once, instrumented,
+    // on the first training input.  Then one job per training input runs
+    // exact and every variant in Fast mode, back to back on one thread,
+    // so each variant's wall is timed beside exact's under the same load;
+    // the priced jobs, ~10x a Fast run each, are done by then and load
+    // no input's runs more than another's.  Every job on seed s shares
+    // inputs[s], so each training input is built once, and seed s's job
+    // drops it, so only the inputs in flight stay built.  Results are
+    // aggregated serially in a fixed order, so a parallel sweep ranks
+    // what a serial one does.  The sweep runs outside the tuner lock so
+    // concurrent serve_batch() callers keep serving the previous
+    // selection during a recalibration.
     const std::size_t num_variants = variants_.size();
     const std::size_t num_seeds = training_seeds.size();
-    std::vector<std::optional<Input>> inputs(num_seeds);
-    std::vector<std::atomic<std::size_t>> remaining(num_seeds);
-    for (std::size_t s = 0; s < num_seeds; ++s) {
-        inputs[s].emplace(training_seeds[s]);
-        remaining[s].store(s == 0 ? 2 * num_variants : num_variants,
-                           std::memory_order_relaxed);
-    }
-    auto finish = [&](std::size_t s) {
-        if (remaining[s].fetch_sub(1, std::memory_order_acq_rel) == 1)
-            inputs[s].reset();
-    };
+    std::vector<std::optional<Input>> inputs;
+    inputs.reserve(num_seeds);
+    for (const std::uint64_t seed : training_seeds)
+        inputs.emplace_back(seed);
     std::vector<VariantRun> priced(num_variants);
     std::vector<VariantRun> fast(num_variants * num_seeds);
-    auto run_one = [&](std::size_t job) {
-        if (job < num_variants) {
-            priced[job] = variants_[job].run(*inputs[0]);
-            finish(0);
-        } else {
-            job -= num_variants;
-            const std::size_t s = job / num_variants;
-            const std::size_t v = job % num_variants;
-            fast[v * num_seeds + s] =
-                execute(static_cast<int>(v), *inputs[s]);
-            finish(s);
-        }
+    auto price = [&](std::size_t v) {
+        priced[v] = variants_[v].run(*inputs[0]);
     };
-    const std::size_t jobs = num_variants * (1 + num_seeds);
+    auto time_input = [&](std::size_t s) {
+        for (std::size_t v = 0; v < num_variants; ++v)
+            fast[v * num_seeds + s] = execute(static_cast<int>(v), *inputs[s]);
+        inputs[s].reset();
+    };
     if (parallel) {
-        ThreadPool::global().parallel_for(jobs, run_one);
+        ThreadPool::global().parallel_for(num_variants, price);
+        ThreadPool::global().parallel_for(num_seeds, time_input);
     } else {
-        for (std::size_t job = 0; job < jobs; ++job)
-            run_one(job);
+        for (std::size_t v = 0; v < num_variants; ++v)
+            price(v);
+        for (std::size_t s = 0; s < num_seeds; ++s)
+            time_input(s);
     }
 
     // Cycles come from the priced run and quality from the Fast runs, so
@@ -120,6 +124,17 @@ Tuner::calibrate(const std::vector<std::uint64_t>& training_seeds,
         for (std::size_t s = 0; s < num_seeds; ++s)
             wall += fast[v * num_seeds + s].wall_seconds;
         return wall;
+    };
+    // The verdict: slower than exact on every input, each comparison made
+    // within one job.  A run that reports no wall gives no verdict.
+    auto slower_everywhere = [&](std::size_t v) {
+        for (std::size_t s = 0; s < num_seeds; ++s) {
+            const double exact = fast[s].wall_seconds;
+            const double wall = fast[v * num_seeds + s].wall_seconds;
+            if (exact <= 0.0 || wall <= exact)
+                return false;
+        }
+        return true;
     };
 
     std::lock_guard<std::mutex> lock(mutex_);
@@ -148,20 +163,15 @@ Tuner::calibrate(const std::vector<std::uint64_t>& training_seeds,
         profile.speedup = cycles > 0.0 ? exact_cycles / cycles : 1.0;
         profile.wall_speedup = wall > 0.0 ? exact_wall / wall : 1.0;
         profile.meets_toq = profile.quality >= toq_;
+        profile.slower_than_exact = slower_everywhere(v);
     }
 
-    // Candidates: TOQ-passing variants sorted fastest-first; the exact
-    // kernel terminates the fallback chain.
-    fallback_order_.clear();
-    for (std::size_t v = 1; v < variants_.size(); ++v) {
-        if (profiles_[v].meets_toq)
-            fallback_order_.push_back(static_cast<int>(v));
-    }
-    std::sort(fallback_order_.begin(), fallback_order_.end(),
-              [&](int a, int b) {
-                  return profiles_[a].speedup > profiles_[b].speedup;
-              });
-    fallback_order_.push_back(0);
+    // Candidates: the modeled chain without the host slowdowns; the exact
+    // kernel terminates it.
+    fallback_order_ = modeled_order(profiles_);
+    std::erase_if(fallback_order_, [&](int v) {
+        return profiles_[v].slower_than_exact;
+    });
     rebuild_speed_order_locked();
 
     selected_ = fallback_order_.front();
@@ -202,16 +212,19 @@ Tuner::restore_calibration(const CalibrationState& state)
             return false;
         seen[index] = true;
         if (index != 0 && (!state.profiles[index].meets_toq ||
-                           state.profiles[index].trapped))
+                           state.profiles[index].trapped ||
+                           state.profiles[index].slower_than_exact))
             return false;
     }
     if (state.selected != state.fallback_order.front())
         return false;
-    // The exact kernel can never have trapped during a real calibration;
-    // a record claiming so (stale write from an edited module, hostile
-    // bytes that survive the checksum) would silently drop index 0 from
-    // the degradation ladder.  Reject it like any other shape mismatch.
-    if (state.profiles[0].trapped || !state.profiles[0].meets_toq)
+    // The exact kernel can never have trapped, or lost to itself, during
+    // a real calibration; a record claiming so (stale write from an
+    // edited module, hostile bytes that survive the checksum) would
+    // silently drop index 0 from the degradation ladder.  Reject it like
+    // any other shape mismatch.
+    if (state.profiles[0].trapped || !state.profiles[0].meets_toq ||
+        state.profiles[0].slower_than_exact)
         return false;
 
     std::lock_guard<std::mutex> lock(mutex_);
@@ -503,12 +516,13 @@ Tuner::reset_health_locked()
 void
 Tuner::rebuild_speed_order_locked()
 {
-    // Degradation ladder rungs: every non-trapped variant — exact and
-    // below-TOQ ones included — fastest-first.  Under load shedding the
-    // serving path walks this list toward cheaper entries.
+    // Degradation ladder rungs: every variant neither trapped nor slower
+    // than exact — exact and below-TOQ ones included — fastest-first by
+    // modeled cycles.  Under load shedding the serving path walks this
+    // list toward cheaper entries.
     speed_order_.clear();
     for (std::size_t v = 0; v < variants_.size(); ++v) {
-        if (!profiles_[v].trapped)
+        if (!profiles_[v].trapped && !profiles_[v].slower_than_exact)
             speed_order_.push_back(static_cast<int>(v));
     }
     std::stable_sort(speed_order_.begin(), speed_order_.end(),

@@ -32,6 +32,11 @@ struct VariantRun {
     /// hierarchy (0 for fast runs); packed storage shrinks this even
     /// when cache effects hide the cycle win on small inputs.
     std::uint64_t modeled_bytes = 0;
+    /// Wall clock of everything the run did after its input build
+    /// returned: written-buffer copies, table binds, a data tier's repack
+    /// and unpack, every launch and the output read-back.  The build
+    /// itself, which every variant of a family shares, is left out.  0
+    /// when the run reports no wall.
     double wall_seconds = 0.0;
     std::uint64_t instructions = 0;  ///< Dynamic VM dispatches executed.
     bool trapped = false;        ///< Unsafe execution; variant unusable.
@@ -90,14 +95,26 @@ struct VariantProfile {
     /// training input.
     double speedup = 1.0;
     /// Exact's summed Fast-mode wall time over the training inputs / the
-    /// variant's.  Advisory: a parallel sweep runs them concurrently.
+    /// variant's, each input's runs timed back to back on one thread.
     double wall_speedup = 1.0;
     /// Mean over the training inputs of the quality of the variant's
     /// Fast-mode output against exact's.
     double quality = 100.0;
     bool meets_toq = false;
     bool trapped = false;
+    /// The variant's Fast-mode wall exceeded exact's on every training
+    /// input: it is a slowdown where it runs and is never served (neither
+    /// the fallback chain nor the degradation ladder holds it).  A run
+    /// that reports no wall gives no verdict.
+    bool slower_than_exact = false;
 };
+
+/// The fallback chain modeled cycles alone would give: every TOQ-passing
+/// variant fastest-first by modeled speedup (ties in index order), then
+/// the exact kernel.  calibrate() serves this chain minus the variants
+/// slower than exact in wall clock; the paper-figure benches read its
+/// front as the modeled choice.
+std::vector<int> modeled_order(const std::vector<VariantProfile>& profiles);
 
 /// The tuner counters a serving layer totals across kernels
 /// (ApproxService::snapshot() sums them into its MetricsSnapshot), one
@@ -198,27 +215,31 @@ class Tuner {
           int check_interval = 50);
 
     /// Profile every variant on @p training_seeds and select the fastest
-    /// one meeting the TOQ (modeled cycles decide; falls back to exact if
-    /// none qualify).  Returns the profiles for inspection.
+    /// one meeting the TOQ (modeled cycles rank; falls back to exact if
+    /// none qualify), skipping a variant slower than exact in wall clock.
+    /// Returns the profiles for inspection.
     ///
     /// Each variant is priced once, by one `run` on training_seeds[0]
-    /// (a variant's cycle ranking barely depends on its input), and runs
-    /// every training input once in Fast mode (`run_fast`), which
-    /// supplies its quality, traps and wall time.  A variant whose priced
-    /// and Fast outputs on training_seeds[0] differ beyond the TOQ is
+    /// (a variant's cycle ranking barely depends on its input).  Then one
+    /// job per training input runs exact and every variant in Fast mode
+    /// (`run_fast`), back to back on one thread, which supplies quality,
+    /// traps and a wall time measured beside exact's.  A variant whose
+    /// wall exceeds exact's on every training input is profiled
+    /// slower_than_exact and never served.  A variant whose priced and
+    /// Fast outputs on training_seeds[0] differ beyond the TOQ is
     /// profiled as trapped; for the exact kernel, calibration fails.
     ///
-    /// Every job on one training seed shares one Input, so a sweep over V
-    /// variants and S seeds builds S inputs (for V priced launches and
-    /// V x S Fast ones).  Jobs run seed by seed and each Input is dropped
-    /// after its seed's last job, so only the inputs in flight are alive.
+    /// A sweep over V variants and S seeds builds S inputs (for V priced
+    /// launches and V x S Fast ones), and each input's job drops its
+    /// input when it ends.
     ///
-    /// By default the sweep runs on the global ThreadPool; selection is
-    /// unaffected because it is decided by deterministic modeled cycles,
-    /// aggregated in a fixed order after all runs finish.  Wall-clock
-    /// speedups are advisory under concurrency.  Pass @p parallel = false
-    /// to force a serial sweep (identical profiles except for wall
-    /// times).
+    /// By default the sweep runs on the global ThreadPool, the priced
+    /// jobs first and then the input jobs, so no priced job loads one
+    /// input's timings more than another's.  The modeled ranking is
+    /// deterministic, aggregated in a fixed order after all runs finish,
+    /// so parallel and serial sweeps rank alike; a variant within timing
+    /// noise of exact may get the verdict in one sweep and not the
+    /// other.  Pass @p parallel = false to force a serial sweep.
     const std::vector<VariantProfile>&
     calibrate(const std::vector<std::uint64_t>& training_seeds,
               bool parallel = true);
@@ -411,11 +432,12 @@ class Tuner {
     mutable std::mutex mutex_;
     int selected_ = 0;
     std::vector<VariantProfile> profiles_;
-    /// Variant indices ordered by profiled speed among TOQ-passing ones
+    /// modeled_order(profiles_) without the variants slower than exact
     /// (for backoff).
     std::vector<int> fallback_order_;
-    /// Every non-trapped variant (exact included, below-TOQ included)
-    /// ordered fastest-first: the degradation ladder's rungs.
+    /// Every variant neither trapped nor slower than exact (exact
+    /// included, below-TOQ included) ordered fastest-first by modeled
+    /// cycles: the degradation ladder's rungs.
     std::vector<int> speed_order_;
     QuarantineConfig quarantine_;
     std::vector<VariantHealth> health_;  ///< Indexed like variants_.

@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <chrono>
 #include <vector>
 
 #include "device/memory_model.h"
@@ -40,6 +41,24 @@ std::vector<VariantRun> run_batch_unpriced(
     const vm::Program& program,
     const std::vector<const exec::ArgPack*>& batch,
     exec::LaunchConfig config);
+
+/// The wall clock a variant closure reports as its run's wall_seconds.
+/// The closure starts one once its input build has returned, so the wall
+/// covers its buffer copies, table binds, codecs, launches and read-back,
+/// and never the input synthesis every variant of the family shares.
+class WallTimer {
+  public:
+    double seconds() const
+    {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start_)
+            .count();
+    }
+
+  private:
+    std::chrono::steady_clock::time_point start_ =
+        std::chrono::steady_clock::now();
+};
 
 /// Collect @p out's floats into @p run (convenience since outputs are read
 /// after the launch).

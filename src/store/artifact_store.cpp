@@ -238,6 +238,7 @@ encode_calibration_state(ByteWriter& w,
         w.f64(profile.quality);
         w.u8(profile.meets_toq ? 1 : 0);
         w.u8(profile.trapped ? 1 : 0);
+        w.u8(profile.slower_than_exact ? 1 : 0);
     }
     w.u64(calibration.fallback_order.size());
     for (const int index : calibration.fallback_order)
@@ -260,6 +261,7 @@ decode_calibration_state(ByteReader& r,
         profile.quality = r.f64();
         profile.meets_toq = r.u8() != 0;
         profile.trapped = r.u8() != 0;
+        profile.slower_than_exact = r.u8() != 0;
     }
     const std::size_t order_count = r.count(4);
     calibration.fallback_order.resize(order_count);

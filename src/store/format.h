@@ -25,7 +25,7 @@ namespace paraprox::store {
 /// Bumped whenever any payload layout changes; records written by other
 /// versions are misses (the issue's invalidation rule: version mismatch
 /// never deserializes).
-constexpr std::uint32_t kFormatVersion = 2;
+constexpr std::uint32_t kFormatVersion = 3;
 
 /// "PPXS" little-endian.
 constexpr std::uint32_t kMagic = 0x53585050u;

@@ -14,6 +14,7 @@
 #include "apps/app.h"
 #include "runtime/quality.h"
 #include "runtime/tuner.h"
+#include "wall_double.h"
 
 namespace paraprox {
 namespace {
@@ -69,7 +70,9 @@ TEST_P(AppSuite, PatternsDetected)
 
 TEST_P(AppSuite, VariantsRunAndMeetToq)
 {
-    auto variants = app().variants(kGpu);
+    // The modeled winner: at this scale HotSpot's and BoxMuller's run
+    // within timing noise of exact in the interpreter.
+    auto variants = test_doubles::without_wall(app().variants(kGpu));
     ASSERT_GE(variants.size(), 2u) << app().info().name;
     EXPECT_EQ(variants[0].aggressiveness, 0);
 
@@ -134,9 +137,10 @@ TEST_P(AppSuite, PricingOnceKeepsTheMeanCycleFallbackChain)
                   [&](int a, int b) { return cycles[a] < cycles[b]; });
         expected.push_back(0);
 
+        // The modeled chain: the served one also drops the variants
+        // slower than exact in wall clock.
         runtime::Tuner tuner(std::move(variants), metric, 90.0);
-        tuner.calibrate(seeds);
-        EXPECT_EQ(tuner.calibration_state().fallback_order, expected)
+        EXPECT_EQ(runtime::modeled_order(tuner.calibrate(seeds)), expected)
             << app().info().name << " on " << device.name;
     }
 }

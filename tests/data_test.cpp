@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -34,6 +36,7 @@
 #include "support/temp_dir.h"
 #include "vm/compiler.h"
 #include "vm/program_cache.h"
+#include "wall_double.h"
 
 namespace paraprox::data {
 namespace {
@@ -681,8 +684,11 @@ TEST(DataTierTest, CalibrationAndAuditsBuildEachInputOnce)
     };
     const runtime::DataTier tier =
         runtime::build_data_tier(fx.session, fx.plan);
-    runtime::Tuner tuner(tier.variants, runtime::Metric::MeanRelativeError,
-                         90.0, /*check_interval=*/1);
+    // No packed plan beats exact in the interpreter's wall clock, and
+    // this test needs a packed selection: it counts builds, not time.
+    runtime::Tuner tuner(test_doubles::without_wall(tier.variants),
+                         runtime::Metric::MeanRelativeError, 90.0,
+                         /*check_interval=*/1);
 
     builds->store(0);
     tuner.calibrate({1, 2, 3});
@@ -701,11 +707,14 @@ TEST(DataTierTest, CalibrationAndAuditsBuildEachInputOnce)
     config.monitor.shadow_interval = 1;
     config.monitor.trigger_streak = 1000000;
     serve::ApproxService service(config);
-    service.register_family(
-        "tier",
-        runtime::data_tier_family(fx.session, fx.plan,
-                                  runtime::Metric::MeanRelativeError, 90.0),
-        runtime::Metric::MeanRelativeError, 90.0, {1, 2, 3});
+    runtime::VariantFamily family = runtime::data_tier_family(
+        fx.session, fx.plan, runtime::Metric::MeanRelativeError, 90.0);
+    family.build = [build = family.build](store::CalibrationRecord& record) {
+        return test_doubles::without_wall(build(record));
+    };
+    service.register_family("tier", std::move(family),
+                            runtime::Metric::MeanRelativeError, 90.0,
+                            {1, 2, 3});
     ASSERT_NE(service.kernel_snapshot("tier").selected, "exact");
     builds->store(0);
     serve::Ticket ticket = service.submit("tier", 100);
@@ -713,6 +722,70 @@ TEST(DataTierTest, CalibrationAndAuditsBuildEachInputOnce)
     EXPECT_TRUE(ticket.response.get().shadowed);
     EXPECT_EQ(builds->load(), 1);
     service.stop();
+}
+
+TEST(DataTierTest, PlanWallCoversItsRepack)
+{
+    // 64 work-items read the head of a 256k-element input, so repacking
+    // the whole input costs far more than the launch: a wall that timed
+    // only the launch would read a small fraction of the repack alone.
+    constexpr int kLength = 1 << 18;
+    const ir::Module module = parser::parse_module(R"(
+        __kernel void head(__global float* in, __global float* out) {
+            int i = get_global_id(0);
+            out[i] = in[i] * 2.0f + 1.0f;
+        }
+    )");
+    runtime::KernelSession session(module, "head", core::CompileOptions{});
+    core::LaunchPlan plan;
+    plan.config = LaunchConfig::linear(64, 64);
+    plan.output_buffer = "out";
+    plan.bind_inputs = [](std::uint64_t seed, ArgPack& args,
+                          std::vector<std::unique_ptr<Buffer>>& holder) {
+        Rng rng(seed);
+        holder.push_back(std::make_unique<Buffer>(Buffer::from_floats(
+            rng.uniform_vector(kLength, -4.0f, 4.0f))));
+        args.buffer("in", *holder.back());
+        holder.push_back(std::make_unique<Buffer>(Buffer::zeros_f32(64)));
+        args.buffer("out", *holder.back());
+    };
+    const runtime::DataTier tier = runtime::build_data_tier(session, plan);
+    std::size_t packs_in = 0;
+    for (std::size_t i = 1; i < tier.plans.size() && packs_in == 0; ++i) {
+        for (const auto& assignment : tier.plans[i].assignments) {
+            if (assignment.buffer == "in")
+                packs_in = i;
+        }
+    }
+    ASSERT_NE(packs_in, 0u);
+    const PrecisionAssignment* assignment = nullptr;
+    for (const auto& candidate : tier.plans[packs_in].assignments) {
+        if (candidate.buffer == "in")
+            assignment = &candidate;
+    }
+
+    // Minima over interleaved rounds, so a loaded machine slows both
+    // sides alike; a launch-only wall is ~100x below the repack.
+    const runtime::Input input(3);
+    const std::vector<float> values =
+        Rng(3).uniform_vector(kLength, -4.0f, 4.0f);
+    double wall = std::numeric_limits<double>::infinity();
+    double repack = std::numeric_limits<double>::infinity();
+    for (int round = 0; round < 5; ++round) {
+        const runtime::VariantRun run =
+            tier.variants[packs_in].run_fast(input);
+        ASSERT_FALSE(run.trapped);
+        wall = std::min(wall, run.wall_seconds);
+
+        PackedBuffer packed(assignment->codec, kLength, assignment->quant);
+        const auto start = std::chrono::steady_clock::now();
+        packed.repack(values, "");
+        repack = std::min(
+            repack, std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
+    }
+    EXPECT_GE(wall, repack / 4) << tier.variants[packs_in].label;
 }
 
 TEST(DataTierTest, StoredPlanPackingAPinnedBufferIsRejected)

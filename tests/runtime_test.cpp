@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -199,6 +200,134 @@ TEST(TunerTest, TrappedVariantNeverSelected)
     tuner.calibrate({1});
     EXPECT_EQ(tuner.selected_label(), "exact");
     EXPECT_TRUE(tuner.profiles()[1].trapped);
+}
+
+// ---- Wall-clock verdict ----------------------------------------------------
+
+/// fake_variant() whose runs report @p wall(seed) seconds of wall clock.
+Variant
+walled_variant(const std::string& label, int aggressiveness, float bias,
+               double cycles, std::function<double(std::uint64_t)> wall)
+{
+    Variant variant = fake_variant(label, aggressiveness, bias, cycles);
+    variant.run = [run = variant.run, wall](const Input& input) {
+        VariantRun out = run(input);
+        out.wall_seconds = wall(input.seed());
+        return out;
+    };
+    return variant;
+}
+
+std::function<double(std::uint64_t)>
+constant_wall(double seconds)
+{
+    return [seconds](std::uint64_t) { return seconds; };
+}
+
+TEST(TunerTest, VariantSlowerThanExactOnEveryInputIsNeverServed)
+{
+    // "fast" meets the TOQ with the best modeled speedup, but its wall
+    // exceeds exact's on every training input.  "sloppy" is faster still
+    // and misses the TOQ: a degradation rung.
+    std::vector<Variant> variants;
+    variants.push_back(
+        walled_variant("exact", 0, 0.0f, 1000.0, constant_wall(2e-3)));
+    variants.push_back(
+        walled_variant("good", 1, 0.1f, 500.0, constant_wall(1e-3)));
+    variants.push_back(
+        walled_variant("fast", 2, 0.1f, 100.0, constant_wall(3e-3)));
+    variants.push_back(
+        walled_variant("sloppy", 3, 9.0f, 50.0, constant_wall(1e-3)));
+    Tuner tuner(variants, Metric::MeanRelativeError, 90.0);
+    const auto& profiles = tuner.calibrate({1, 2, 3});
+    EXPECT_TRUE(profiles[2].meets_toq);
+    EXPECT_TRUE(profiles[2].slower_than_exact);
+    EXPECT_NEAR(profiles[2].wall_speedup, 2.0 / 3.0, 1e-9);
+    EXPECT_FALSE(profiles[1].slower_than_exact);
+    EXPECT_FALSE(profiles[3].slower_than_exact);
+    // The modeled ranking still puts it first.
+    EXPECT_EQ(modeled_order(profiles), (std::vector<int>{2, 1, 0}));
+
+    const auto never_serves_fast = [](Tuner& t) {
+        EXPECT_EQ(t.selected_label(), "good");
+        EXPECT_EQ(t.calibration_state().fallback_order,
+                  (std::vector<int>{1, 0}));
+        // Load shedding walks up the ladder, past "fast" to "sloppy".
+        for (int level = 0; level <= 3; ++level) {
+            t.set_degradation_level(level);
+            EXPECT_NE(t.serve_batch({Input(7)}).label, "fast")
+                << "level " << level;
+        }
+        t.set_degradation_level(1);
+        EXPECT_EQ(t.serve_batch({Input(7)}).label, "sloppy");
+        t.set_degradation_level(0);
+    };
+    never_serves_fast(tuner);
+
+    Tuner restored(variants, Metric::MeanRelativeError, 90.0);
+    ASSERT_TRUE(restored.restore_calibration(tuner.calibration_state()));
+    EXPECT_TRUE(restored.profiles()[2].slower_than_exact);
+    never_serves_fast(restored);
+
+    // A record that puts the slowdown back on the chain is rejected.
+    CalibrationState forged = tuner.calibration_state();
+    forged.fallback_order = {2, 1, 0};
+    forged.selected = 2;
+    EXPECT_FALSE(restored.restore_calibration(forged));
+    forged = tuner.calibration_state();
+    forged.profiles[0].slower_than_exact = true;
+    EXPECT_FALSE(restored.restore_calibration(forged));
+    EXPECT_EQ(restored.selected_label(), "good");
+}
+
+TEST(TunerTest, VariantSlowerOnOnlySomeInputsStaysServed)
+{
+    std::vector<Variant> variants;
+    variants.push_back(
+        walled_variant("exact", 0, 0.0f, 1000.0, constant_wall(2e-3)));
+    variants.push_back(walled_variant(
+        "good", 1, 0.1f, 500.0,
+        [](std::uint64_t seed) { return seed == 1 ? 3e-3 : 1e-3; }));
+    Tuner tuner(std::move(variants), Metric::MeanRelativeError, 90.0);
+    EXPECT_FALSE(tuner.calibrate({1, 2})[1].slower_than_exact);
+    EXPECT_EQ(tuner.selected_label(), "good");
+}
+
+TEST(TunerTest, RunsThatReportNoWallGiveNoVerdict)
+{
+    // No wall from the variant, then none from exact: neither is a
+    // measured slowdown.
+    for (const bool exact_reports : {true, false}) {
+        std::vector<Variant> variants;
+        variants.push_back(walled_variant(
+            "exact", 0, 0.0f, 1000.0,
+            constant_wall(exact_reports ? 2e-3 : 0.0)));
+        variants.push_back(walled_variant(
+            "good", 1, 0.1f, 500.0,
+            constant_wall(exact_reports ? 0.0 : 3e-3)));
+        Tuner tuner(std::move(variants), Metric::MeanRelativeError, 90.0);
+        EXPECT_FALSE(tuner.calibrate({1, 2, 3})[1].slower_than_exact);
+        EXPECT_EQ(tuner.selected_label(), "good");
+    }
+}
+
+TEST(TunerTest, ModeledOrderKeepsTiedSpeedupsInIndexOrder)
+{
+    const auto profile = [](double speedup, bool meets_toq) {
+        VariantProfile p;
+        p.speedup = speedup;
+        p.meets_toq = meets_toq;
+        return p;
+    };
+    // Index 4 is the fastest but misses the TOQ; index 6 is slower than
+    // exact in wall clock, which the modeled order ignores.
+    std::vector<VariantProfile> profiles = {
+        profile(1.0, true), profile(2.0, true),  profile(3.0, true),
+        profile(2.0, true), profile(9.0, false), profile(3.0, true),
+        profile(2.0, true)};
+    profiles[6].slower_than_exact = true;
+    EXPECT_EQ(modeled_order(profiles),
+              (std::vector<int>{2, 5, 1, 3, 6, 0}));
 }
 
 TEST(TunerTest, RuntimeViolationTriggersBackoff)

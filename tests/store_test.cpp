@@ -135,7 +135,7 @@ sample_calibration()
     calibration.profiles = {
         {"exact", 1.0, 1.0, 100.0, true, false},
         {"memo8", 3.5, 2.1, 96.25, true, false},
-        {"memo4", 7.25, 4.0, 81.0, false, false},
+        {"memo4", 7.25, 0.8, 81.0, false, false, true},
         {"memo2", 0.0, 0.0, 0.0, false, true},
     };
     calibration.fallback_order = {1, 0};
@@ -328,6 +328,7 @@ TEST(StoreTest, CalibrationRoundTrip)
         EXPECT_DOUBLE_EQ(got.quality, want.quality);
         EXPECT_EQ(got.meets_toq, want.meets_toq);
         EXPECT_EQ(got.trapped, want.trapped);
+        EXPECT_EQ(got.slower_than_exact, want.slower_than_exact);
     }
 
     // The pipeline section round-trips under the same record kind.
@@ -837,6 +838,11 @@ TEST(StoreWarmStartTest, RestoreRejectsArityAndHostileCalibrations)
     drifted = good;
     drifted.profiles[drifted.fallback_order.front()].meets_toq = false;
     EXPECT_FALSE(tuner.restore_calibration(drifted));
+    // Nor one slower than exact in wall clock.
+    drifted = good;
+    drifted.profiles[drifted.fallback_order.front()].slower_than_exact =
+        true;
+    EXPECT_FALSE(tuner.restore_calibration(drifted));
 
     // A record claiming the exact kernel trapped or missed its own TOQ
     // is hostile by definition (it would drop index 0 from the ladder).
@@ -857,6 +863,53 @@ TEST(StoreWarmStartTest, RestoreRejectsArityAndHostileCalibrations)
     EXPECT_EQ(tuner.selected_label(), cold_selected);
     EXPECT_TRUE(tuner.restore_calibration(good));
     EXPECT_EQ(tuner.selected_label(), cold_selected);
+}
+
+TEST(StoreWarmStartTest, SlowdownStaysOffTheChainAcrossAStoreRoundTrip)
+{
+    // "fast" meets the TOQ with the best modeled speedup, but runs slower
+    // than exact on every training input.  A tuner restored from the
+    // stored record must keep it off the chain and the ladder.
+    const auto variant = [](const std::string& label, int aggr, float bias,
+                            double cycles, double wall) {
+        return runtime::Variant{
+            label, aggr, [bias, cycles, wall](const runtime::Input& input) {
+                runtime::VariantRun run;
+                run.output = {static_cast<float>(input.seed() % 100) +
+                                  1.0f + bias,
+                              10.0f + bias};
+                run.modeled_cycles = cycles;
+                run.wall_seconds = wall;
+                return run;
+            }};
+    };
+    std::vector<runtime::Variant> variants;
+    variants.push_back(variant("exact", 0, 0.0f, 1000.0, 2e-3));
+    variants.push_back(variant("good", 1, 0.1f, 500.0, 1e-3));
+    variants.push_back(variant("fast", 2, 0.1f, 100.0, 3e-3));
+    runtime::Tuner cold(variants, runtime::Metric::MeanRelativeError, 90.0);
+    cold.calibrate({1, 2, 3});
+    ASSERT_EQ(cold.selected_label(), "good");
+
+    const TempDir dir("store-slowdown-roundtrip");
+    const ArtifactStore store(dir.path);
+    const StoreKey key = test_key("calibration");
+    CalibrationRecord record;
+    record.calibration = cold.calibration_state();
+    record.toq = 90.0;
+    record.metric = "Mean relative error";
+    ASSERT_TRUE(store.save_calibration(key, record));
+    const auto loaded = store.load_calibration(key);
+    ASSERT_TRUE(loaded.has_value());
+
+    runtime::Tuner warm(variants, runtime::Metric::MeanRelativeError, 90.0);
+    ASSERT_TRUE(warm.restore_calibration(loaded->calibration));
+    EXPECT_TRUE(warm.profiles()[2].slower_than_exact);
+    EXPECT_EQ(warm.selected_label(), "good");
+    EXPECT_EQ(warm.calibration_state().fallback_order,
+              (std::vector<int>{1, 0}));
+    warm.set_degradation_level(2);
+    EXPECT_EQ(warm.serve_batch({runtime::Input(7)}).label, "good");
 }
 
 TEST(StoreWarmStartTest, HostileCalibrationNeverServesFromALiveService)

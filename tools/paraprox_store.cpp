@@ -89,12 +89,16 @@ print_calibration(const std::vector<std::uint8_t>& payload)
                        paraprox::data::to_string(assignment.codec) + quant;
             }
         }
-        std::printf("variant:  %c %-60s q=%.2f%% speedup=%.2fx%s\n",
+        std::printf("variant:  %c %-60s q=%.2f%% speedup=%.2fx "
+                    "wall=%.2fx%s%s\n",
                     static_cast<std::size_t>(calibration.selected) == i
                         ? '*'
                         : ' ',
                     row.c_str(), profile.quality, profile.speedup,
-                    profile.meets_toq ? "" : " (below TOQ)");
+                    profile.wall_speedup,
+                    profile.meets_toq ? "" : " (below TOQ)",
+                    profile.slower_than_exact ? " (slower than exact)"
+                                              : "");
     }
 }
 
